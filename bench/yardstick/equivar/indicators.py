@@ -1,0 +1,401 @@
+"""Scalar variability and uncertainty indicators for discrete probability vectors.
+
+A distribution here is a plain vector of outcome probabilities. It may be
+incomplete (the probabilities sum to less than one, as with observed
+frequencies that have missing mass); nothing is ever renormalized. The
+indicators fall into two families:
+
+* statistical variability of the probability values themselves: mean,
+  population variance, a reference (maximal) variance, the coefficient of
+  variation CV and its relative form cv = CV / sqrt(N - 1);
+* uncertainty of the event system: Shannon entropy in bits, its
+  order-1 Renyi extension for incomplete vectors (entropy divided by the
+  total probability), and the equivalent-size numbers derived from both:
+  F = 2**H (the size of a uniform distribution with the same uncertainty,
+  elsewhere called perplexity), D = 1 / sum(p_i**2) (the size of a uniform
+  distribution with the same, zero, variability; the inverse Simpson
+  index) and G = CV**2 + 1 (the size of a one-sure-rest-impossible
+  distribution with the same variability).
+
+D and G are tied together by the duality D * G = N / p_total**2, which
+every report carries as a computed residual.
+
+Numerical contract: the algebraic indicators (sums, variance, CV, D, G)
+are evaluated in exact rational arithmetic (every float is an exact binary
+rational) and rounded to float once on return. Identities between them
+therefore hold to the last ulp: a uniform vector has CV exactly 0, the
+closed form of CV agrees exactly with sigma/mean, and the duality residual
+stays at rounding level (~1e-16) for any valid input. Entropy and the
+numbers derived from it use compensated float summation (math.fsum), good
+to a few ulp.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator, Sequence
+
+from .errors import (
+    AllImpossible,
+    EmptyInput,
+    LabelLengthMismatch,
+    NegativeProbability,
+    NonFinite,
+    ProbabilityAboveOne,
+    SumExceedsOne,
+)
+
+__all__ = [
+    "TOL_SUM",
+    "IDENTITY_RTOL",
+    "Distribution",
+    "IndicatorReport",
+    "total_probability",
+    "mean_probability",
+    "variance",
+    "reference_variance",
+    "coefficient_of_variation",
+    "relative_cv",
+    "shannon_entropy",
+    "renyi1_entropy",
+    "relative_entropy_h",
+    "average_number_f",
+    "equivalent_number_g",
+    "equivalent_number_d",
+    "duality_check",
+    "analyze",
+]
+
+# Slack allowed on sum(probs) <= 1 at validation time.
+TOL_SUM = 1e-9
+# Relative tolerance at which the cross-path identities are asserted by tests.
+IDENTITY_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Distribution:
+    """Validated, immutable vector of outcome probabilities with optional labels.
+
+    Raises a :class:`~equivar.errors.ValidationFailure` subclass at
+    construction when any invariant is violated: at least one outcome, every
+    probability finite and in [0, 1], the total at most 1 + TOL_SUM, and
+    labels (when given) matching the probabilities in count.
+    """
+
+    probs: tuple[float, ...]
+    labels: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        probs = tuple(float(p) for p in self.probs)
+        object.__setattr__(self, "probs", probs)
+        if self.labels is not None:
+            labels = tuple(str(lab) for lab in self.labels)
+            object.__setattr__(self, "labels", labels)
+        if len(probs) == 0:
+            raise EmptyInput("a distribution needs at least one outcome")
+        for i, p in enumerate(probs):
+            if not math.isfinite(p):
+                raise NonFinite(f"probability {i} is {p!r}")
+            if p < 0.0:
+                raise NegativeProbability(f"probability {i} is {p!r}")
+            if p > 1.0:
+                raise ProbabilityAboveOne(f"probability {i} is {p!r}")
+        total = math.fsum(probs)
+        if total > 1.0 + TOL_SUM:
+            raise SumExceedsOne(
+                f"probabilities sum to {total!r}, above 1 + {TOL_SUM:g}"
+            )
+        if self.labels is not None and len(self.labels) != len(probs):
+            raise LabelLengthMismatch(
+                f"{len(self.labels)} labels for {len(probs)} probabilities"
+            )
+
+    @property
+    def n(self) -> int:
+        """Number of outcomes N."""
+        return len(self.probs)
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.probs)
+
+
+@dataclass(frozen=True)
+class IndicatorReport:
+    """Every scalar indicator of one distribution, as produced by :func:`analyze`.
+
+    ``entropy_bits`` is the order-1 Renyi entropy (Shannon entropy divided by
+    the total probability), which coincides with plain Shannon entropy for
+    complete vectors; ``duality_residual`` is the relative defect of
+    D * G = N / p_total**2 evaluated on the rounded field values.
+    """
+
+    n_outcomes: int
+    p_total: float
+    p_mean: float
+    variance: float
+    ref_variance: float
+    cv: float
+    cv_rel: float
+    entropy_bits: float
+    entropy_rel: float
+    avg_number_f: float
+    equiv_number_d: float
+    equiv_number_g: float
+    duality_residual: float
+
+    def to_dict(self) -> dict:
+        return {
+            "n_outcomes": self.n_outcomes,
+            "p_total": self.p_total,
+            "p_mean": self.p_mean,
+            "variance": self.variance,
+            "ref_variance": self.ref_variance,
+            "cv": self.cv,
+            "cv_rel": self.cv_rel,
+            "entropy_bits": self.entropy_bits,
+            "entropy_rel": self.entropy_rel,
+            "avg_number_f": self.avg_number_f,
+            "equiv_number_d": self.equiv_number_d,
+            "equiv_number_g": self.equiv_number_g,
+            "duality_residual": self.duality_residual,
+        }
+
+
+def _exact_sums(probs: Sequence[float]) -> tuple[Fraction, Fraction]:
+    """Sum and sum of squares of the probabilities as exact rationals."""
+    s = Fraction(0)
+    s2 = Fraction(0)
+    for p in probs:
+        f = Fraction(p)
+        s += f
+        s2 += f * f
+    return s, s2
+
+
+def _cv_squared(n: int, s: Fraction, s2: Fraction) -> Fraction:
+    # Closed form CV^2 = N * sum(p^2) / p_total^2 - 1; equals (sigma/mean)^2
+    # identically in rational arithmetic, and is >= 0 by Cauchy-Schwarz.
+    return n * s2 / (s * s) - 1
+
+
+def _to_float(x: Fraction) -> float:
+    # 1/sum(p^2) can exceed the float range when the probabilities are
+    # denormal-small; answer with infinity like plain float division would.
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def total_probability(dist: Distribution) -> float:
+    """Sum of all outcome probabilities (1 for complete, less when incomplete)."""
+    return math.fsum(dist.probs)
+
+
+def mean_probability(dist: Distribution) -> float:
+    """Arithmetic mean of the N probabilities, total / N."""
+    s, _ = _exact_sums(dist.probs)
+    return float(s / dist.n)
+
+
+def variance(dist: Distribution) -> float:
+    """Population variance of the probability values, (1/N) sum p_i^2 - mean^2.
+
+    Exact rational evaluation keeps the result non-negative by construction,
+    so no round-off clamp is needed.
+    """
+    s, s2 = _exact_sums(dist.probs)
+    n = dist.n
+    return float(s2 / n - (s / n) ** 2)
+
+
+def reference_variance(dist: Distribution) -> float:
+    """Largest variance attainable at this size and total probability.
+
+    Reached in the limit where one probability carries the whole total and
+    the rest vanish: p_total^2 * (N - 1) / N^2.
+    """
+    s, _ = _exact_sums(dist.probs)
+    n = dist.n
+    return float(s * s * Fraction(n - 1, n * n))
+
+
+def coefficient_of_variation(dist: Distribution) -> float:
+    """Standard deviation of the probabilities divided by their mean.
+
+    Computed through the closed form sqrt(N * sum(p^2) / p_total^2 - 1) in
+    exact arithmetic; scale-invariant, 0 for uniform vectors and
+    sqrt(N - 1) when a single outcome carries everything.
+
+    Raises AllImpossible when every probability is zero (zero mean).
+    """
+    s, s2 = _exact_sums(dist.probs)
+    if s == 0:
+        raise AllImpossible("coefficient of variation undefined: zero mean")
+    return math.sqrt(float(_cv_squared(dist.n, s, s2)))
+
+
+def relative_cv(dist: Distribution) -> float:
+    """CV normalized by its maximum sqrt(N - 1); lies in [0, 1].
+
+    A singleton cannot vary, so N = 1 returns 0 (the 0/0 limit).
+    """
+    s, s2 = _exact_sums(dist.probs)
+    if s == 0:
+        raise AllImpossible("relative cv undefined: zero mean")
+    n = dist.n
+    if n == 1:
+        return 0.0
+    return math.sqrt(float(_cv_squared(n, s, s2) / (n - 1)))
+
+
+def shannon_entropy(dist: Distribution) -> float:
+    """Shannon entropy -sum(p * log2 p) in bits, with 0 * log 0 = 0."""
+    h = -math.fsum(p * math.log2(p) for p in dist.probs if p > 0.0)
+    return h + 0.0  # normalize -0.0 from the all-certain case
+
+
+def renyi1_entropy(dist: Distribution) -> float:
+    """Order-1 Renyi entropy in bits: Shannon entropy over the total probability.
+
+    Identical to :func:`shannon_entropy` for complete vectors; for incomplete
+    ones it rescales the uncertainty to the observed mass, and is the entropy
+    used in reports.
+    """
+    pt = total_probability(dist)
+    if pt == 0.0:
+        raise AllImpossible("entropy rate undefined: zero total probability")
+    return shannon_entropy(dist) / pt
+
+
+def relative_entropy_h(dist: Distribution) -> float:
+    """Entropy relative to its complete-vector maximum log2 N.
+
+    In [0, 1] for complete vectors; incomplete ones may exceed 1, exactly as
+    their F may exceed N. N = 1 returns 0 (the 0/0 limit).
+    """
+    h = renyi1_entropy(dist)  # raises AllImpossible on zero mass
+    if dist.n == 1:
+        return 0.0
+    return h / math.log2(dist.n)
+
+
+def average_number_f(dist: Distribution) -> float:
+    """Equally-probable event count with the same uncertainty: F = 2**H.
+
+    Independent of the logarithm base used for H. Lies in [1, N] for
+    complete vectors; may exceed N for incomplete ones.
+    """
+    try:
+        return 2.0 ** renyi1_entropy(dist)
+    except OverflowError:
+        return math.inf
+
+
+def equivalent_number_g(dist: Distribution) -> float:
+    """Size of a one-sure-rest-impossible vector with the same variability.
+
+    G = CV^2 + 1, taken from the same exact CV^2 value that
+    :func:`coefficient_of_variation` roots; in [1, N] whenever CV is within
+    its bounds.
+    """
+    s, s2 = _exact_sums(dist.probs)
+    if s == 0:
+        raise AllImpossible("equivalent number G undefined: zero mean")
+    return float(1 + _cv_squared(dist.n, s, s2))
+
+
+def equivalent_number_d(dist: Distribution) -> float:
+    """Equally-probable outcome count with the same invariability: 1 / sum(p^2).
+
+    The inverse Simpson index. In [1, N] for complete vectors; may exceed N
+    for incomplete ones. Raises AllImpossible when every probability is zero.
+    """
+    _, s2 = _exact_sums(dist.probs)
+    if s2 == 0:
+        raise AllImpossible("equivalent number D undefined: all outcomes impossible")
+    return _to_float(1 / s2)
+
+
+def duality_check(dist: Distribution) -> tuple[float, float]:
+    """Evaluate the duality D * G = N / p_total^2 on the rounded indicator values.
+
+    Returns ``(product, residual)`` where ``product`` is D * G and
+    ``residual`` is the worse of the multiplicative defect
+    |D*G - N/p_total^2| / (N/p_total^2) and the same identity checked in
+    logarithmic form, log D + log G = log N - 2 log p_total (with an
+    absolute floor of 1 on the log-side denominator, since the right-hand
+    side may be 0). When either side overflows the float range, the
+    identity is checked on the exact ratio instead.
+    """
+    n = dist.n
+    s, s2 = _exact_sums(dist.probs)
+    if s == 0:
+        raise AllImpossible("duality undefined: zero total probability")
+    d_exact = 1 / s2
+    g_exact = 1 + _cv_squared(n, s, s2)
+    rhs_exact = n / (s * s)
+    d, g, rhs = _to_float(d_exact), float(g_exact), _to_float(rhs_exact)
+    product = d * g
+    if math.isfinite(product) and math.isfinite(rhs):
+        residual = abs(product - rhs) / rhs
+        log_rhs = math.log(n) - 2.0 * math.log(float(s))
+        log_residual = abs(math.log(d) + math.log(g) - log_rhs) / max(1.0, abs(log_rhs))
+    else:
+        ratio = float(d_exact * g_exact / rhs_exact)
+        residual = abs(ratio - 1.0)
+        log_residual = abs(math.log(ratio))
+    return product, max(residual, log_residual)
+
+
+def analyze(dist: Distribution) -> IndicatorReport:
+    """Compute every indicator of one distribution in a single pass.
+
+    Raises AllImpossible when every probability is zero, since the
+    mean-relative indicators are undefined there.
+    """
+    n = dist.n
+    s, s2 = _exact_sums(dist.probs)
+    if s == 0:
+        raise AllImpossible("indicators undefined: zero total probability")
+
+    p_total = float(s)
+    cv2 = _cv_squared(n, s, s2)
+    cv = math.sqrt(float(cv2))
+    cv_rel = 0.0 if n == 1 else math.sqrt(float(cv2 / (n - 1)))
+
+    h_bits = shannon_entropy(dist) / p_total
+    h_rel = 0.0 if n == 1 else h_bits / math.log2(n)
+    try:
+        f = 2.0 ** h_bits
+    except OverflowError:
+        f = math.inf
+
+    d_exact = 1 / s2
+    rhs_exact = n / (s * s)
+    d, g, rhs = _to_float(d_exact), float(1 + cv2), _to_float(rhs_exact)
+    if math.isfinite(d * g) and math.isfinite(rhs):
+        residual = abs(d * g - rhs) / rhs
+    else:
+        residual = float(abs(d_exact * (1 + cv2) / rhs_exact - 1))
+
+    return IndicatorReport(
+        n_outcomes=n,
+        p_total=p_total,
+        p_mean=float(s / n),
+        variance=float(s2 / n - (s / n) ** 2),
+        ref_variance=float(s * s * Fraction(n - 1, n * n)),
+        cv=cv,
+        cv_rel=cv_rel,
+        entropy_bits=h_bits,
+        entropy_rel=h_rel,
+        avg_number_f=f,
+        equiv_number_d=d,
+        equiv_number_g=g,
+        duality_residual=residual,
+    )
