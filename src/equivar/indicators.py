@@ -22,19 +22,23 @@ every report carries as a computed residual.
 
 Numerical contract: the algebraic indicators (sums, variance, CV, D, G)
 are evaluated in exact rational arithmetic (every float is an exact binary
-rational) and rounded to float once on return. Identities between them
-therefore hold to the last ulp: a uniform vector has CV exactly 0, the
-closed form of CV agrees exactly with sigma/mean, and the duality residual
-stays at rounding level (~1e-16) for any valid input. Entropy and the
-numbers derived from it use compensated float summation (math.fsum), good
-to a few ulp.
+rational) and rounded to float once on return. The exact sums sum(p) and
+sum(p**2) are kept as Python integers: each probability's 53-bit integer
+mantissa is added to a running total for its binary exponent, and the
+totals are shifted to the lowest exponent at the end. Each algebraic
+field is then one int / int true division, which CPython rounds correctly
+(CV and its relative form take the square root of one).
+Identities between them therefore hold to the last ulp: a uniform vector
+has CV exactly 0, the closed form of CV agrees exactly with sigma/mean, and
+the duality residual stays at rounding level (~1e-16) for any valid input.
+Entropy and the numbers derived from it use compensated float summation
+(math.fsum), good to a few ulp.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -49,7 +53,6 @@ from .errors import (
 
 __all__ = [
     "TOL_SUM",
-    "IDENTITY_RTOL",
     "Distribution",
     "IndicatorReport",
     "total_probability",
@@ -70,8 +73,8 @@ __all__ = [
 
 # Slack allowed on sum(probs) <= 1 at validation time.
 TOL_SUM = 1e-9
-# Relative tolerance at which the cross-path identities are asserted by tests.
-IDENTITY_RTOL = 1e-12
+
+_TWO_53 = float(1 << 53)
 
 
 @dataclass(frozen=True)
@@ -166,30 +169,56 @@ class IndicatorReport:
         }
 
 
-def _exact_sums(probs: Sequence[float]) -> tuple[Fraction, Fraction]:
-    """Sum and sum of squares of the probabilities as exact rationals."""
-    s = Fraction(0)
-    s2 = Fraction(0)
+def _moments(probs: Sequence[float]) -> tuple[int, int, int]:
+    """Exact sums of the probabilities and of their squares, as integers.
+
+    Returns ``(s, s2, b)`` with sum(p) == s / 2**b and sum(p**2) ==
+    s2 / 2**(2*b) exactly; ``(0, 0, 0)`` when every probability is zero.
+    Each non-zero p is k * 2**(e - 53) with an integer mantissa k < 2**53;
+    k and k*k are added to running totals for their exponent e, so the
+    loop keeps nothing per outcome.
+    """
+    acc: dict[int, int] = {}
+    acc2: dict[int, int] = {}
+    frexp = math.frexp
     for p in probs:
-        f = Fraction(p)
-        s += f
-        s2 += f * f
-    return s, s2
+        if p:
+            m, e = frexp(p)
+            k = int(m * _TWO_53)  # exact: p == k * 2**(e - 53)
+            acc[e] = acc.get(e, 0) + k
+            acc2[e] = acc2.get(e, 0) + k * k
+    if not acc:
+        return 0, 0, 0
+    low = min(acc)
+    s = sum(v << (e - low) for e, v in acc.items())
+    s2 = sum(v << 2 * (e - low) for e, v in acc2.items())
+    return s, s2, 53 - low
 
 
-def _cv_squared(n: int, s: Fraction, s2: Fraction) -> Fraction:
-    # Closed form CV^2 = N * sum(p^2) / p_total^2 - 1; equals (sigma/mean)^2
-    # identically in rational arithmetic, and is >= 0 by Cauchy-Schwarz.
-    return n * s2 / (s * s) - 1
-
-
-def _to_float(x: Fraction) -> float:
-    # 1/sum(p^2) can exceed the float range when the probabilities are
-    # denormal-small; answer with infinity like plain float division would.
+def _divide(num: int, den: int) -> float:
+    # 1/sum(p^2) and N/p_total^2 can exceed the float range when the
+    # probabilities are denormal-small; answer with infinity like plain
+    # float division would. Both are positive.
     try:
-        return float(x)
+        return num / den
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf
+
+
+def _duality(n: int, s: int, s2: int, b: int) -> tuple[float, float, float, float]:
+    """D, G, N / p_total^2 and the relative defect of D * G against the last.
+
+    D * G == N / p_total^2 holds exactly in rational arithmetic, so when a
+    side overflows the float range the defect of the exact ratio is 0.
+    """
+    ss = s * s
+    d = _divide(1 << 2 * b, s2)
+    g = n * s2 / ss  # CV^2 + 1 = N * sum(p^2) / p_total^2
+    rhs = _divide(n << 2 * b, ss)
+    product = d * g
+    if math.isfinite(product) and math.isfinite(rhs):
+        return d, g, rhs, abs(product - rhs) / rhs
+    return d, g, rhs, 0.0
 
 
 def total_probability(dist: Distribution) -> float:
@@ -199,19 +228,19 @@ def total_probability(dist: Distribution) -> float:
 
 def mean_probability(dist: Distribution) -> float:
     """Arithmetic mean of the N probabilities, total / N."""
-    s, _ = _exact_sums(dist.probs)
-    return float(s / dist.n)
+    s, _, b = _moments(dist.probs)
+    return s / (dist.n << b)
 
 
 def variance(dist: Distribution) -> float:
     """Population variance of the probability values, (1/N) sum p_i^2 - mean^2.
 
-    Exact rational evaluation keeps the result non-negative by construction,
-    so no round-off clamp is needed.
+    Exact evaluation keeps the result non-negative by construction, so no
+    round-off clamp is needed.
     """
-    s, s2 = _exact_sums(dist.probs)
+    s, s2, b = _moments(dist.probs)
     n = dist.n
-    return float(s2 / n - (s / n) ** 2)
+    return (n * s2 - s * s) / (n * n << 2 * b)
 
 
 def reference_variance(dist: Distribution) -> float:
@@ -220,9 +249,9 @@ def reference_variance(dist: Distribution) -> float:
     Reached in the limit where one probability carries the whole total and
     the rest vanish: p_total^2 * (N - 1) / N^2.
     """
-    s, _ = _exact_sums(dist.probs)
+    s, _, b = _moments(dist.probs)
     n = dist.n
-    return float(s * s * Fraction(n - 1, n * n))
+    return s * s * (n - 1) / (n * n << 2 * b)
 
 
 def coefficient_of_variation(dist: Distribution) -> float:
@@ -234,10 +263,10 @@ def coefficient_of_variation(dist: Distribution) -> float:
 
     Raises AllImpossible when every probability is zero (zero mean).
     """
-    s, s2 = _exact_sums(dist.probs)
+    s, s2, _ = _moments(dist.probs)
     if s == 0:
         raise AllImpossible("coefficient of variation undefined: zero mean")
-    return math.sqrt(float(_cv_squared(dist.n, s, s2)))
+    return math.sqrt((dist.n * s2 - s * s) / (s * s))
 
 
 def relative_cv(dist: Distribution) -> float:
@@ -245,13 +274,13 @@ def relative_cv(dist: Distribution) -> float:
 
     A singleton cannot vary, so N = 1 returns 0 (the 0/0 limit).
     """
-    s, s2 = _exact_sums(dist.probs)
+    s, s2, _ = _moments(dist.probs)
     if s == 0:
         raise AllImpossible("relative cv undefined: zero mean")
     n = dist.n
     if n == 1:
         return 0.0
-    return math.sqrt(float(_cv_squared(n, s, s2) / (n - 1)))
+    return math.sqrt((n * s2 - s * s) / ((n - 1) * s * s))
 
 
 def shannon_entropy(dist: Distribution) -> float:
@@ -304,10 +333,10 @@ def equivalent_number_g(dist: Distribution) -> float:
     :func:`coefficient_of_variation` roots; in [1, N] whenever CV is within
     its bounds.
     """
-    s, s2 = _exact_sums(dist.probs)
+    s, s2, _ = _moments(dist.probs)
     if s == 0:
         raise AllImpossible("equivalent number G undefined: zero mean")
-    return float(1 + _cv_squared(dist.n, s, s2))
+    return dist.n * s2 / (s * s)
 
 
 def equivalent_number_d(dist: Distribution) -> float:
@@ -316,10 +345,10 @@ def equivalent_number_d(dist: Distribution) -> float:
     The inverse Simpson index. In [1, N] for complete vectors; may exceed N
     for incomplete ones. Raises AllImpossible when every probability is zero.
     """
-    _, s2 = _exact_sums(dist.probs)
+    _, s2, b = _moments(dist.probs)
     if s2 == 0:
         raise AllImpossible("equivalent number D undefined: all outcomes impossible")
-    return _to_float(1 / s2)
+    return _divide(1 << 2 * b, s2)
 
 
 def duality_check(dist: Distribution) -> tuple[float, float]:
@@ -334,23 +363,16 @@ def duality_check(dist: Distribution) -> tuple[float, float]:
     identity is checked on the exact ratio instead.
     """
     n = dist.n
-    s, s2 = _exact_sums(dist.probs)
+    s, s2, b = _moments(dist.probs)
     if s == 0:
         raise AllImpossible("duality undefined: zero total probability")
-    d_exact = 1 / s2
-    g_exact = 1 + _cv_squared(n, s, s2)
-    rhs_exact = n / (s * s)
-    d, g, rhs = _to_float(d_exact), float(g_exact), _to_float(rhs_exact)
+    d, g, rhs, residual = _duality(n, s, s2, b)
     product = d * g
     if math.isfinite(product) and math.isfinite(rhs):
-        residual = abs(product - rhs) / rhs
-        log_rhs = math.log(n) - 2.0 * math.log(float(s))
+        log_rhs = math.log(n) - 2.0 * math.log(s / (1 << b))
         log_residual = abs(math.log(d) + math.log(g) - log_rhs) / max(1.0, abs(log_rhs))
-    else:
-        ratio = float(d_exact * g_exact / rhs_exact)
-        residual = abs(ratio - 1.0)
-        log_residual = abs(math.log(ratio))
-    return product, max(residual, log_residual)
+        residual = max(residual, log_residual)
+    return product, residual
 
 
 def analyze(dist: Distribution) -> IndicatorReport:
@@ -360,14 +382,16 @@ def analyze(dist: Distribution) -> IndicatorReport:
     mean-relative indicators are undefined there.
     """
     n = dist.n
-    s, s2 = _exact_sums(dist.probs)
+    s, s2, b = _moments(dist.probs)
     if s == 0:
         raise AllImpossible("indicators undefined: zero total probability")
 
-    p_total = float(s)
-    cv2 = _cv_squared(n, s, s2)
-    cv = math.sqrt(float(cv2))
-    cv_rel = 0.0 if n == 1 else math.sqrt(float(cv2 / (n - 1)))
+    p_total = s / (1 << b)
+    ss = s * s
+    # ss * CV^2 == N^2 * 4**b * variance; >= 0 by Cauchy-Schwarz
+    spread = n * s2 - ss
+    cv = math.sqrt(spread / ss)
+    cv_rel = 0.0 if n == 1 else math.sqrt(spread / ((n - 1) * ss))
 
     h_bits = shannon_entropy(dist) / p_total
     h_rel = 0.0 if n == 1 else h_bits / math.log2(n)
@@ -376,20 +400,13 @@ def analyze(dist: Distribution) -> IndicatorReport:
     except OverflowError:
         f = math.inf
 
-    d_exact = 1 / s2
-    rhs_exact = n / (s * s)
-    d, g, rhs = _to_float(d_exact), float(1 + cv2), _to_float(rhs_exact)
-    if math.isfinite(d * g) and math.isfinite(rhs):
-        residual = abs(d * g - rhs) / rhs
-    else:
-        residual = float(abs(d_exact * (1 + cv2) / rhs_exact - 1))
-
+    d, g, _, residual = _duality(n, s, s2, b)
     return IndicatorReport(
         n_outcomes=n,
         p_total=p_total,
-        p_mean=float(s / n),
-        variance=float(s2 / n - (s / n) ** 2),
-        ref_variance=float(s * s * Fraction(n - 1, n * n)),
+        p_mean=s / (n << b),
+        variance=spread / (n * n << 2 * b),
+        ref_variance=ss * (n - 1) / (n * n << 2 * b),
         cv=cv,
         cv_rel=cv_rel,
         entropy_bits=h_bits,

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import IncompleteDistribution, ParameterOutOfRange
 from .indicators import Distribution, analyze, total_probability
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ORACLE_TOL",
@@ -95,6 +97,9 @@ def mc_max_variance(n: int, p_total: float, trials: int, seed: int) -> OracleRes
         raise ParameterOutOfRange(f"need trials >= 1, got {trials}")
     if seed < 0:
         raise ParameterOutOfRange(f"need seed >= 0, got {seed}")
+
+    # Imported here, its only use, so that importing equivar loads no numpy.
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     vmax = 0.0

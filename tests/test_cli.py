@@ -347,3 +347,12 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["equiv_number_d"] == 2.0
+
+
+def test_cli_import_loads_neither_numpy_nor_fractions():
+    # numpy is needed only by the Monte-Carlo oracle and the exact moments
+    # are integer arithmetic, so a CLI start must load neither module.
+    code = "import sys, equivar.cli; print('numpy' in sys.modules, 'fractions' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -126,6 +126,15 @@ def test_binomial_matches_exact_rational_pmf():
                 assert g == pytest.approx(float(w), rel=1e-13, abs=1e-300)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 1029])
+def test_central_binomial_equivalent_number_d(n):
+    # sum(C(n,k)^2) = C(2n,n), so D(B(n, 1/2)) = 4^n / C(2n, n) exactly;
+    # n >= 1030 is left out because the float pmf overflows there.
+    want = Fraction(4**n, math.comb(2 * n, n))
+    got = equivalent_number_d(binomial(n, 0.5))
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+
+
 # ----------------------------------------------------------------------
 # sweeps
 

@@ -1,0 +1,279 @@
+"""Bit-identity of the integer moment kernel against exact-rational formulas.
+
+The reference below is the ``Fraction`` arithmetic that equivar 0.1.0 used
+for every algebraic indicator: one exact rational per outcome, summed, with
+each field rounded once by ``float(Fraction)``. The package now computes the
+same rationals as scaled integers, so every field must match in every bit,
+the sign of zero included, and every zero-mass vector must raise the same
+exception type.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from equivar import (
+    IndicatorReport,
+    analyze,
+    coefficient_of_variation,
+    duality_check,
+    equivalent_number_d,
+    equivalent_number_g,
+    from_probabilities,
+    mean_probability,
+    reference_variance,
+    relative_cv,
+    shannon_entropy,
+    variance,
+)
+from equivar.errors import AllImpossible
+
+# ----------------------------------------------------------------------
+# exact-rational reference
+
+
+def _exact_sums(probs):
+    s = Fraction(0)
+    s2 = Fraction(0)
+    for p in probs:
+        f = Fraction(p)
+        s += f
+        s2 += f * f
+    return s, s2
+
+
+def _cv_squared(n, s, s2):
+    return n * s2 / (s * s) - 1
+
+
+def _to_float(x):
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def ref_mean_probability(dist):
+    s, _ = _exact_sums(dist.probs)
+    return float(s / dist.n)
+
+
+def ref_variance(dist):
+    s, s2 = _exact_sums(dist.probs)
+    n = dist.n
+    return float(s2 / n - (s / n) ** 2)
+
+
+def ref_reference_variance(dist):
+    s, _ = _exact_sums(dist.probs)
+    n = dist.n
+    return float(s * s * Fraction(n - 1, n * n))
+
+
+def ref_coefficient_of_variation(dist):
+    s, s2 = _exact_sums(dist.probs)
+    if s == 0:
+        raise AllImpossible("zero mean")
+    return math.sqrt(float(_cv_squared(dist.n, s, s2)))
+
+
+def ref_relative_cv(dist):
+    s, s2 = _exact_sums(dist.probs)
+    if s == 0:
+        raise AllImpossible("zero mean")
+    n = dist.n
+    if n == 1:
+        return 0.0
+    return math.sqrt(float(_cv_squared(n, s, s2) / (n - 1)))
+
+
+def ref_equivalent_number_g(dist):
+    s, s2 = _exact_sums(dist.probs)
+    if s == 0:
+        raise AllImpossible("zero mean")
+    return float(1 + _cv_squared(dist.n, s, s2))
+
+
+def ref_equivalent_number_d(dist):
+    _, s2 = _exact_sums(dist.probs)
+    if s2 == 0:
+        raise AllImpossible("all outcomes impossible")
+    return _to_float(1 / s2)
+
+
+def ref_duality_check(dist):
+    n = dist.n
+    s, s2 = _exact_sums(dist.probs)
+    if s == 0:
+        raise AllImpossible("zero total probability")
+    d_exact = 1 / s2
+    g_exact = 1 + _cv_squared(n, s, s2)
+    rhs_exact = n / (s * s)
+    d, g, rhs = _to_float(d_exact), float(g_exact), _to_float(rhs_exact)
+    product = d * g
+    if math.isfinite(product) and math.isfinite(rhs):
+        residual = abs(product - rhs) / rhs
+        log_rhs = math.log(n) - 2.0 * math.log(float(s))
+        log_residual = abs(math.log(d) + math.log(g) - log_rhs) / max(1.0, abs(log_rhs))
+    else:
+        ratio = float(d_exact * g_exact / rhs_exact)
+        residual = abs(ratio - 1.0)
+        log_residual = abs(math.log(ratio))
+    return product, max(residual, log_residual)
+
+
+def ref_analyze(dist):
+    n = dist.n
+    s, s2 = _exact_sums(dist.probs)
+    if s == 0:
+        raise AllImpossible("zero total probability")
+
+    p_total = float(s)
+    cv2 = _cv_squared(n, s, s2)
+    cv = math.sqrt(float(cv2))
+    cv_rel = 0.0 if n == 1 else math.sqrt(float(cv2 / (n - 1)))
+
+    h_bits = shannon_entropy(dist) / p_total
+    h_rel = 0.0 if n == 1 else h_bits / math.log2(n)
+    try:
+        f = 2.0**h_bits
+    except OverflowError:
+        f = math.inf
+
+    d_exact = 1 / s2
+    rhs_exact = n / (s * s)
+    d, g, rhs = _to_float(d_exact), float(1 + cv2), _to_float(rhs_exact)
+    if math.isfinite(d * g) and math.isfinite(rhs):
+        residual = abs(d * g - rhs) / rhs
+    else:
+        residual = float(abs(d_exact * (1 + cv2) / rhs_exact - 1))
+
+    return IndicatorReport(
+        n_outcomes=n,
+        p_total=p_total,
+        p_mean=float(s / n),
+        variance=float(s2 / n - (s / n) ** 2),
+        ref_variance=float(s * s * Fraction(n - 1, n * n)),
+        cv=cv,
+        cv_rel=cv_rel,
+        entropy_bits=h_bits,
+        entropy_rel=h_rel,
+        avg_number_f=f,
+        equiv_number_d=d,
+        equiv_number_g=g,
+        duality_residual=residual,
+    )
+
+
+PAIRS = [
+    (analyze, ref_analyze),
+    (duality_check, ref_duality_check),
+    (mean_probability, ref_mean_probability),
+    (variance, ref_variance),
+    (reference_variance, ref_reference_variance),
+    (coefficient_of_variation, ref_coefficient_of_variation),
+    (relative_cv, ref_relative_cv),
+    (equivalent_number_g, ref_equivalent_number_g),
+    (equivalent_number_d, ref_equivalent_number_d),
+]
+
+
+def _bits(value):
+    """A value with every float spelled out bit for bit (float.hex keeps -0.0)."""
+    if isinstance(value, IndicatorReport):
+        return {k: _bits(v) for k, v in value.to_dict().items()}
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, float):
+        return value.hex()
+    return (type(value).__name__, value)
+
+
+def _outcome(fn, dist):
+    try:
+        return _bits(fn(dist))
+    except AllImpossible as exc:
+        return ("raises", type(exc).__name__)
+
+
+def assert_bit_identical(probs):
+    dist = from_probabilities(probs)
+    for fast, ref in PAIRS:
+        assert _outcome(fast, dist) == _outcome(ref, dist), fast.__name__
+
+
+# ----------------------------------------------------------------------
+# input strategies
+
+
+def _scaled(weights, total):
+    s = math.fsum(weights)
+    if s == 0.0:
+        return [0.0] * len(weights)
+    return [min(1.0, w / s * total) for w in weights]
+
+
+# values in [0, 1] rescaled to a total in (0, 1]: complete and incomplete
+plain = st.builds(
+    _scaled,
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24),
+    st.sampled_from([1.0, 0.9725, 0.5, 0.1]) | st.floats(1e-6, 1.0),
+)
+
+# values spread over 1e-300 .. 1, so the kernel sees many binary exponents
+wide = st.lists(
+    st.builds(lambda m, x: m * 10.0**x, st.floats(0.1, 1.0), st.integers(-300, 0)),
+    min_size=1,
+    max_size=24,
+).map(lambda w: _scaled(w, 1.0) if math.fsum(w) > 1.0 else w)
+
+# subnormal and near-subnormal values, where D and N / p_total^2 overflow
+tiny = st.lists(
+    st.floats(0.0, 1e-300, allow_subnormal=True) | st.sampled_from([5e-324, 1e-320]),
+    min_size=1,
+    max_size=12,
+)
+
+# one sure outcome, or all-but-one zero
+sparse = st.builds(
+    lambda n, i, p: [p if j == i % n else 0.0 for j in range(n)],
+    st.integers(1, 16),
+    st.integers(0, 15),
+    st.sampled_from([1.0, 0.5, 5e-324]) | st.floats(0.0, 1.0),
+)
+
+vectors = plain | wide | tiny | sparse
+
+
+@st.composite
+def rearranged(draw):
+    """A vector, then zero-padded and shuffled, to hit the same sums by other paths."""
+    probs = list(draw(vectors))
+    probs += [0.0] * draw(st.integers(0, 3))
+    return draw(st.permutations(probs))
+
+
+# ----------------------------------------------------------------------
+# tests
+
+
+@given(rearranged())
+@settings(max_examples=400, deadline=None)
+@example([1.0])
+@example([0.3])
+@example([5e-324])
+@example([1e-320, 1e-320])
+@example([1e-300, 1e-300])
+@example([0.5, 0.5])
+@example([0.25] * 4)
+@example([0.0, 1.0, 0.0])
+@example([1.0, 1e-300, 5e-324])
+@example([0.0])
+@example([0.0, 0.0, 0.0])
+def test_every_field_and_view_is_bit_identical_to_fraction_path(probs):
+    assert_bit_identical(probs)
+
