@@ -197,12 +197,11 @@ def _cmd_binomial_sweep(args) -> int:
 
 def _cmd_gws(args) -> int:
     records = parse_area_table(_read_input(args.input), args.format)
-    if args.rank is not None:
-        reports = rank_areas(records, args.rank)
-    else:
-        reports = [area_report(rec) for rec in records]
+    # Analyze each area once; the ranking and the chart both read these.
+    reports = [area_report(rec) for rec in records]
+    ranked = reports if args.rank is None else rank_areas(reports, args.rank)
     _write_json(
-        args.report, "gws", [ar.to_dict() for ar in reports], args.no_timestamp
+        args.report, "gws", [ar.to_dict() for ar in ranked], args.no_timestamp
     )
     if args.chart is not None:
         rows = [
@@ -217,7 +216,7 @@ def _cmd_gws(args) -> int:
                     _fmt(row.g),
                 ]
             )
-            for row in chart_data(records)
+            for row in chart_data(reports)
         ]
         _write_csv(
             args.chart,

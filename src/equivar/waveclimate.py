@@ -256,18 +256,25 @@ def area_report(record: AreaRecord) -> AreaIndicatorReport:
     return AreaIndicatorReport(area_id=record.area_id, report=analyze(record.directions))
 
 
-def rank_areas(records: Sequence[AreaRecord], key: str) -> list[AreaIndicatorReport]:
+def _reports(areas: Iterable[AreaRecord | AreaIndicatorReport]) -> list[AreaIndicatorReport]:
+    """Reports of the given areas, analyzing only the ones not yet reported."""
+    return [a if isinstance(a, AreaIndicatorReport) else area_report(a) for a in areas]
+
+
+def rank_areas(
+    areas: Sequence[AreaRecord | AreaIndicatorReport], key: str
+) -> list[AreaIndicatorReport]:
     """Rank areas descending by one indicator (d, f, cv_rel, or h_rel).
 
-    Ties break by area id ascending, so the ordering is deterministic.
+    Takes records or their already computed reports. Ties break by area id
+    ascending, so the ordering is deterministic.
     """
     if key not in RANK_KEYS:
         raise ParseError(f"unknown rank key {key!r}, expected one of {sorted(RANK_KEYS)}")
-    if not records:
+    if not areas:
         raise EmptyInput("no areas to rank")
     field = RANK_KEYS[key]
-    reports = [area_report(rec) for rec in records]
-    return sorted(reports, key=lambda ar: (-getattr(ar.report, field), ar.area_id))
+    return sorted(_reports(areas), key=lambda ar: (-getattr(ar.report, field), ar.area_id))
 
 
 def rose_data(record: AreaRecord) -> list[tuple[float, float]]:
@@ -279,17 +286,20 @@ def rose_data(record: AreaRecord) -> list[tuple[float, float]]:
     return list(zip(BEARINGS_DEG, record.directions.probs))
 
 
-def chart_data(records: Iterable[AreaRecord]) -> list[ChartRow]:
-    """Per-area indicator table for external plotting, sorted by area id."""
-    records = list(records)
-    if not records:
+def chart_data(areas: Iterable[AreaRecord | AreaIndicatorReport]) -> list[ChartRow]:
+    """Per-area indicator table for external plotting, sorted by area id.
+
+    Takes records or their already computed reports.
+    """
+    reports = _reports(areas)
+    if not reports:
         raise EmptyInput("no areas to chart")
     rows = []
-    for rec in sorted(records, key=lambda r: r.area_id):
-        rep = analyze(rec.directions)
+    for ar in sorted(reports, key=lambda r: r.area_id):
+        rep = ar.report
         rows.append(
             ChartRow(
-                area_id=rec.area_id,
+                area_id=ar.area_id,
                 p_total=rep.p_total,
                 cv_rel=rep.cv_rel,
                 h_rel=rep.entropy_rel,

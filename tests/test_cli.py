@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from equivar import sample_table_path
+from equivar import analyze, sample_table_path, waveclimate
 from equivar.cli import main
 
 RFC3339 = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
@@ -131,6 +133,20 @@ def test_sweep_full_grid(capsys):
     assert len(csv_rows(out)) == 1 + 505
 
 
+def test_sweep_past_float_coefficients(capsys):
+    # C(1100, k) exceeds the float range near the mode.
+    code, out, err = run(
+        capsys, "binomial-sweep", "--n", "1100", "--p-steps", "5", "--no-timestamp"
+    )
+    assert code == 0 and err == ""
+    rows = [r.split(",") for r in csv_rows(out)[1:]]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    d_half = float(next(row for row in rows if row[1] == "0.5")[6])
+    want = Fraction(4**1100, math.comb(2200, 1100))
+    assert abs(Fraction(d_half) - want) <= Fraction(1, 10**11) * want
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -200,6 +216,24 @@ def test_gws_json_input(capsys, tmp_path):
     )
     assert code == 0
     assert payload_of(out)[0]["report"]["p_total"] == 0.9798
+
+
+def test_gws_analyzes_each_area_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(dist):
+        calls.append(dist)
+        return analyze(dist)
+
+    monkeypatch.setattr(waveclimate, "analyze", counted)
+    report, chart = tmp_path / "report.json", tmp_path / "chart.csv"
+    code, _, _ = run(
+        capsys, "gws", "--input", sample_table_path(), "--rank", "d",
+        "--report", str(report), "--chart", str(chart), "--no-timestamp",
+    )
+    assert code == 0
+    n_areas = len(csv_rows(chart.read_text())) - 1
+    assert n_areas == 5 and len(calls) == n_areas
 
 
 def test_gws_missing_file(capsys):

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equivar import (
     analyze,
@@ -25,6 +27,7 @@ from equivar.errors import (
     SumExceedsOne,
     ZeroSize,
 )
+from equivar.indicators import TOL_SUM
 
 from conftest import A64_PROBS
 
@@ -34,6 +37,21 @@ def exact_binomial_pmf(n: int, p: float) -> list[Fraction]:
     fp = Fraction(p)
     fq = 1 - fp
     return [math.comb(n, k) * fp**k * fq ** (n - k) for k in range(n + 1)]
+
+
+def ulps_off(got: float, n: int, k: int, p: float, q: float) -> float:
+    """Distance of got from C(n, k) * p**k * q**(n-k), exact, in ulps of the latter.
+
+    p and q are dyadic, so the exact term is an integer over a power of two
+    and the whole comparison stays in integers.
+    """
+    a, da = p.as_integer_ratio()
+    b, db = q.as_integer_ratio()
+    num = math.comb(n, k) * a**k * b ** (n - k)
+    den = da**k * db ** (n - k)
+    un, ud = math.ulp(num / den).as_integer_ratio()
+    gn, gd = got.as_integer_ratio()
+    return abs(gn * den - num * gd) * ud / (gd * den * un)
 
 
 # ----------------------------------------------------------------------
@@ -126,13 +144,55 @@ def test_binomial_matches_exact_rational_pmf():
                 assert g == pytest.approx(float(w), rel=1e-13, abs=1e-300)
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 1029])
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 1029, 1030, 1100, 2000, 10000])
 def test_central_binomial_equivalent_number_d(n):
-    # sum(C(n,k)^2) = C(2n,n), so D(B(n, 1/2)) = 4^n / C(2n, n) exactly;
-    # n >= 1030 is left out because the float pmf overflows there.
+    # sum(C(n,k)^2) = C(2n,n), so D(B(n, 1/2)) = 4^n / C(2n, n) exactly.
     want = Fraction(4**n, math.comb(2 * n, n))
     got = equivalent_number_d(binomial(n, 0.5))
     assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+
+
+@given(
+    st.integers(min_value=1, max_value=1029),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@example(1029, 0.5)
+@example(1029, 0.0)
+@example(1029, 1.0)
+@example(1, 0.5)
+@settings(max_examples=150, deadline=None)
+def test_binomial_bits_match_per_term_comb(n, p):
+    # Every coefficient of n <= 1029 fits a float, so the running
+    # coefficient gives 0.1.0's bits (math.comb per term).
+    got = binomial(n, p).probs
+    q = 1.0 - p
+    mode = round(n * p)
+    ks = set(range(0, n + 1, max(1, n // 64))) | {n}
+    ks |= set(range(max(0, mode - 8), min(n, mode + 8) + 1))
+    for k in sorted(ks):
+        want = math.comb(n, k) * p**k * q ** (n - k)
+        assert got[k].hex() == want.hex(), (n, p, k)
+
+
+@pytest.mark.parametrize("n", [1030, 1100, 2000])
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.01, 0.93])
+def test_binomial_large_n_terms_within_4_ulp(n, p):
+    # The reference is the exact value for the float q = 1.0 - p the pmf
+    # uses: that subtraction is rounded for p < 1/2, and its rounding,
+    # raised to the power n - k, moves the terms of the true B(n, 0.3) by up
+    # to ~1000 ulps at n = 2000, in 0.1.0's expression as well.
+    got = binomial(n, p).probs
+    top = max(got)
+    for k, g in enumerate(got):
+        if g >= top / 2**52:
+            err = ulps_off(g, n, k, p, 1.0 - p)
+            assert err <= 4, (n, p, k, err)
+
+
+def test_binomial_large_n_sums_to_one_across_grid():
+    for i in range(21):
+        d = binomial(1100, i / 20)
+        assert abs(math.fsum(d.probs) - 1.0) <= TOL_SUM
 
 
 # ----------------------------------------------------------------------
