@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
 
 from . import __version__
-from .errors import EquivarError, ParameterOutOfRange
+from .errors import EquivarError, NonNumericProbability, ParameterOutOfRange, ParseError
 from .distributions import from_probabilities, sweep_binomial
 from .indicators import analyze
 from .oracle import cross_check_report, mc_max_variance, verify_sum_squares_bounds
@@ -86,9 +87,28 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
+def _nonfinite_as_strings(obj):
+    """A copy of a JSON document with each non-finite float spelled as a string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
+            return "NaN"
+        return "Infinity" if obj > 0.0 else "-Infinity"
+    if isinstance(obj, dict):
+        return {k: _nonfinite_as_strings(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_nonfinite_as_strings(v) for v in obj]
+    return obj
+
+
 def _write_json(path: str | None, command: str, payload, no_timestamp: bool) -> None:
+    # Strict JSON has no infinity or NaN; such fields become the strings
+    # "Infinity", "-Infinity" and "NaN".
     doc = _envelope(command, payload, no_timestamp)
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_nonfinite_as_strings(doc), indent=2)
+    _write_text(path, text + "\n")
 
 
 def _write_csv(
@@ -110,6 +130,29 @@ def _read_input(path: str) -> bytes:
         raise _DataError(f"cannot open input: {exc}") from None
 
 
+def _json_probs(values) -> list[float]:
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ParseError(f"JSON 'probs' must be an array, got {json.dumps(values)}") from None
+    probs = []
+    for i, v in enumerate(items):
+        try:
+            probs.append(float(v))
+        except (TypeError, ValueError, OverflowError):
+            raise NonNumericProbability(
+                f"JSON probability {i} is not a float: {json.dumps(v)}", row=i
+            ) from None
+    return probs
+
+
+def _json_labels(values) -> list[str]:
+    try:
+        return [str(s) for s in values]
+    except TypeError:
+        raise ParseError(f"JSON 'labels' must be an array, got {json.dumps(values)}") from None
+
+
 def _probs_from_file(raw: bytes, fmt: str) -> tuple[list[float], list[str] | None]:
     try:
         text = raw.decode("utf-8")
@@ -118,15 +161,15 @@ def _probs_from_file(raw: bytes, fmt: str) -> tuple[list[float], list[str] | Non
     if fmt == "json":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal too long
             raise _DataError(f"invalid JSON: {exc}") from None
         if isinstance(doc, list):
-            return [float(v) for v in doc], None
+            return _json_probs(doc), None
         if isinstance(doc, dict) and "probs" in doc:
             labels = doc.get("labels")
             return (
-                [float(v) for v in doc["probs"]],
-                None if labels is None else [str(s) for s in labels],
+                _json_probs(doc["probs"]),
+                None if labels is None else _json_labels(labels),
             )
         raise _DataError("JSON input must be an array or an object with 'probs'")
     # csv: comma-separated values; multiple lines are concatenated in order

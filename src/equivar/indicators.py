@@ -23,22 +23,29 @@ every report carries as a computed residual.
 Numerical contract: the algebraic indicators (sums, variance, CV, D, G)
 are evaluated in exact rational arithmetic (every float is an exact binary
 rational) and rounded to float once on return. The exact sums sum(p) and
-sum(p**2) are kept as Python integers: each probability's 53-bit integer
-mantissa is added to a running total for its binary exponent, and the
-totals are shifted to the lowest exponent at the end. Each algebraic
-field is then one int / int true division, which CPython rounds correctly
-(CV and its relative form take the square root of one).
+sum(p**2) are kept as Python integers: every non-zero probability is
+multiplied by one power of two, 2**-q, where 2**q is the last mantissa bit
+of the smallest one, which turns each into an exact integer; the integers
+and their squares are summed in C. When the values span more binary orders
+than one such integer should hold, the sorted values are cut into exponent
+windows, each scaled by its own power of two, and the window sums are
+shifted onto the lowest. Each algebraic field is then one int / int true
+division, which CPython rounds correctly (CV and its relative form take
+the square root of one).
 Identities between them therefore hold to the last ulp: a uniform vector
 has CV exactly 0, the closed form of CV agrees exactly with sigma/mean, and
 the duality residual stays at rounding level (~1e-16) for any valid input.
-Entropy and the numbers derived from it use compensated float summation
-(math.fsum), good to a few ulp.
+Entropy and the numbers derived from it use correctly rounded float
+summation (math.fsum) of the terms p * log2(p), good to a few ulp.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -74,7 +81,9 @@ __all__ = [
 # Slack allowed on sum(probs) <= 1 at validation time.
 TOL_SUM = 1e-9
 
-_TWO_53 = float(1 << 53)
+# Binary orders an exponent window spans above a 53-bit mantissa: every
+# scaled integer stays below 2**(53 + W), so squares stay cheap.
+W = 64
 
 
 @dataclass(frozen=True)
@@ -91,22 +100,25 @@ class Distribution:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(map(float, self.probs))
         object.__setattr__(self, "probs", probs)
         if self.labels is not None:
             labels = tuple(str(lab) for lab in self.labels)
             object.__setattr__(self, "labels", labels)
         if len(probs) == 0:
             raise EmptyInput("a distribution needs at least one outcome")
-        for i, p in enumerate(probs):
-            if not math.isfinite(p):
-                raise NonFinite(f"probability {i} is {p!r}")
-            if p < 0.0:
-                raise NegativeProbability(f"probability {i} is {p!r}")
-            if p > 1.0:
-                raise ProbabilityAboveOne(f"probability {i} is {p!r}")
-        total = math.fsum(probs)
-        if total > 1.0 + TOL_SUM:
+        try:
+            total = math.fsum(probs)  # NaN if any value is NaN
+        except (OverflowError, ValueError):  # inf - inf, or values near the float limit
+            total = math.nan
+        if not (total <= 1.0 + TOL_SUM and min(probs) >= 0.0 and max(probs) <= 1.0):
+            for i, p in enumerate(probs):
+                if not math.isfinite(p):
+                    raise NonFinite(f"probability {i} is {p!r}")
+                if p < 0.0:
+                    raise NegativeProbability(f"probability {i} is {p!r}")
+                if p > 1.0:
+                    raise ProbabilityAboveOne(f"probability {i} is {p!r}")
             raise SumExceedsOne(
                 f"probabilities sum to {total!r}, above 1 + {TOL_SUM:g}"
             )
@@ -169,30 +181,63 @@ class IndicatorReport:
         }
 
 
+def _ulp_exponent(x: float) -> int:
+    """Exponent of the last mantissa bit of a non-zero float."""
+    return max(math.frexp(x)[1] - 53, -1074)
+
+
+def _scaled_sums(values: Sequence[float], q: int) -> tuple[int, int]:
+    """Exact sums of values * 2**-q and of their squares.
+
+    Every value must be an integer multiple of 2**q, so each product is an
+    exact integer. Scaling up loses no bits, and when 2**-q exceeds the
+    float range it is applied in two exact steps.
+    """
+    if q < -1023:
+        values = map(mul, values, repeat(2.0**1023))
+        q += 1023
+    ks = list(map(int, map(mul, values, repeat(math.ldexp(1.0, -q)))))
+    return sum(ks), sum(map(mul, ks, ks))
+
+
 def _moments(probs: Sequence[float]) -> tuple[int, int, int]:
     """Exact sums of the probabilities and of their squares, as integers.
 
     Returns ``(s, s2, b)`` with sum(p) == s / 2**b and sum(p**2) ==
     s2 / 2**(2*b) exactly; ``(0, 0, 0)`` when every probability is zero.
-    Each non-zero p is k * 2**(e - 53) with an integer mantissa k < 2**53;
-    k and k*k are added to running totals for their exponent e, so the
-    loop keeps nothing per outcome.
+    Takes any finite non-negative floats; b < 0 only when every non-zero
+    value is at least 2**53.
+
+    With 2**q the last mantissa bit of the smallest non-zero value, every
+    value is an integer multiple of 2**q. When the largest value is below
+    2**(q + 53 + W), one multiplication by 2**-q turns all of them into
+    integers below 2**(53 + W), and b = -q. Otherwise the sorted values are
+    cut into exponent windows, each starting at its smallest value and
+    spanning 53 + W binary orders from that value's last mantissa bit;
+    each window is scaled by its own power of two and its sums are shifted
+    onto the lowest window's.
     """
-    acc: dict[int, int] = {}
-    acc2: dict[int, int] = {}
-    frexp = math.frexp
-    for p in probs:
-        if p:
-            m, e = frexp(p)
-            k = int(m * _TWO_53)  # exact: p == k * 2**(e - 53)
-            acc[e] = acc.get(e, 0) + k
-            acc2[e] = acc2.get(e, 0) + k * k
-    if not acc:
+    hi = max(probs)
+    if not hi:
         return 0, 0, 0
-    low = min(acc)
-    s = sum(v << (e - low) for e, v in acc.items())
-    s2 = sum(v << 2 * (e - low) for e, v in acc2.items())
-    return s, s2, 53 - low
+    lo = min(probs) or min(filter(None, probs))
+    q = _ulp_exponent(lo)
+    if math.frexp(hi)[1] <= q + 53 + W:
+        s, s2 = _scaled_sums(probs, q)
+        return s, s2, -q
+    xs = sorted(probs)
+    q0 = q
+    s = s2 = 0
+    i = bisect_right(xs, 0.0)
+    while i < len(xs):
+        q = _ulp_exponent(xs[i])
+        top = q + 53 + W
+        j = bisect_left(xs, math.ldexp(1.0, top) if top < 1024 else math.inf, i)
+        ws, ws2 = _scaled_sums(xs[i:j], q)
+        s += ws << (q - q0)
+        s2 += ws2 << 2 * (q - q0)
+        i = j
+    return s, s2, -q0
 
 
 def _divide(num: int, den: int) -> float:
@@ -285,7 +330,10 @@ def relative_cv(dist: Distribution) -> float:
 
 def shannon_entropy(dist: Distribution) -> float:
     """Shannon entropy -sum(p * log2 p) in bits, with 0 * log 0 = 0."""
-    h = -math.fsum(p * math.log2(p) for p in dist.probs if p > 0.0)
+    probs = dist.probs
+    if 0.0 in probs:
+        probs = tuple(filter(None, probs))
+    h = -math.fsum(map(mul, probs, map(math.log2, probs)))
     return h + 0.0  # normalize -0.0 from the all-certain case
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from equivar import analyze, sample_table_path, waveclimate
+from equivar import analyze, cli, sample_table_path, waveclimate
 from equivar.cli import main
 
 RFC3339 = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
@@ -85,6 +85,58 @@ def test_analyze_from_json_file(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", "--input", str(f), "--format", "json")
     assert code == 0
     assert payload_of(out)["n_outcomes"] == 3
+
+
+@pytest.mark.parametrize(
+    "text, error, entry",
+    [
+        ('["abc"]', "NonNumericProbability", "probability 0"),
+        ('{"probs": 5}', "ParseError", "'probs'"),
+        ("[0.5, null]", "NonNumericProbability", "probability 1"),
+        ('{"probs": [0.5], "labels": 5}', "ParseError", "'labels'"),
+        ("[1" + "0" * 400 + "]", "NonNumericProbability", "probability 0"),
+    ],
+    ids=["string", "probs-number", "null", "labels-number", "int-past-float-range"],
+)
+def test_analyze_rejects_malformed_json_entries(capsys, tmp_path, text, error, entry):
+    f = tmp_path / "dist.json"
+    f.write_text(text)
+    code, out, err = run(capsys, "analyze", "--input", str(f), "--format", "json")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"equivar: {error}: ") and entry in err
+
+
+def test_infinite_fields_are_strict_json(capsys):
+    code, out, _ = run(
+        capsys, "analyze", "--probs", "1e-320", "--probs", "1e-320", "--no-timestamp"
+    )
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    body = json.loads(out, parse_constant=reject)["payload"]
+    assert body["equiv_number_d"] == "Infinity"
+    assert body["avg_number_f"] == "Infinity"
+    assert body["equiv_number_g"] == 1.0
+
+
+def test_json_writer_spells_every_non_finite_float(capsys):
+    payload = [{"a": math.nan, "b": -math.inf, "c": math.inf}, {"a": 0.5, "b": "NaN", "c": 3}]
+    cli._write_json(None, "gws", payload, True)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["payload"] == [
+        {"a": "NaN", "b": "-Infinity", "c": "Infinity"},
+        {"a": 0.5, "b": "NaN", "c": 3},
+    ]
+
+
+def test_finite_json_output_is_unchanged(capsys):
+    payload = {"x": [0.1, 1e-320, 2.0], "y": {"z": -0.0}}
+    cli._write_json(None, "analyze", payload, True)
+    doc = {"tool_version": cli.__version__, "command": "analyze", "payload": payload}
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_analyze_requires_exactly_one_source(capsys, tmp_path):

@@ -5,7 +5,8 @@ for every algebraic indicator: one exact rational per outcome, summed, with
 each field rounded once by ``float(Fraction)``. The package now computes the
 same rationals as scaled integers, so every field must match in every bit,
 the sign of zero included, and every zero-mass vector must raise the same
-exception type.
+exception type. Entropy and validation are held to 0.1.0's per-value loops
+the same way: the same bits, the same error type and message.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equivar import (
+    Distribution,
     IndicatorReport,
     analyze,
     coefficient_of_variation,
@@ -30,7 +33,15 @@ from equivar import (
     shannon_entropy,
     variance,
 )
-from equivar.errors import AllImpossible
+from equivar.errors import (
+    AllImpossible,
+    EmptyInput,
+    NegativeProbability,
+    NonFinite,
+    ProbabilityAboveOne,
+    SumExceedsOne,
+)
+from equivar.indicators import TOL_SUM, _moments
 
 # ----------------------------------------------------------------------
 # exact-rational reference
@@ -274,6 +285,112 @@ def rearranged(draw):
 @example([1.0, 1e-300, 5e-324])
 @example([0.0])
 @example([0.0, 0.0, 0.0])
+@example([0.5, 1e-30, 1e-300])  # three exponent windows
+@example([1e-310, 3e-308, 0.25])  # a window scaled past 2**1023, in two steps
+@example([5e-324, 1e-320, 2.5e-309, 2.2e-308])  # all subnormal: one window
+@example([2.5e-309, 1e-300, 1e-250])  # subnormal low end, two windows
+@example([-0.0, 0.5, 0.25, -0.0])
+@example([-0.0])
 def test_every_field_and_view_is_bit_identical_to_fraction_path(probs):
     assert_bit_identical(probs)
+
+
+# any non-negative finite float: the kernel's own domain, wider than [0, 1]
+anywhere = st.floats(0.0, allow_infinity=False, allow_subnormal=True) | st.builds(
+    math.ldexp, st.floats(0.5, 1.0), st.integers(-1074, 1023)
+)
+
+
+@given(st.lists(anywhere, min_size=1, max_size=24))
+@settings(max_examples=300, deadline=None)
+@example([1e308, 1.0, 1e-300])  # the top window's bound is past 2**1023
+@example([1.7e308, 1.5e308, 2.0**970])
+@example([5e-324] * 3)
+@example([0.0, -0.0])
+def test_moments_are_the_exact_sums(values):
+    s, s2, b = _moments(values)
+    scale = Fraction(2) ** b  # b < 0 when every non-zero value is >= 2**53
+    assert s / scale == sum(map(Fraction, values))
+    assert s2 / scale**2 == sum(Fraction(v) ** 2 for v in values)
+
+
+def ref_shannon_entropy(probs):
+    """0.1.0's entropy: the terms summed by fsum, with 0 log 0 = 0."""
+    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0) + 0.0
+
+
+@given(rearranged())
+@settings(max_examples=200, deadline=None)
+@example([1.0])  # one certain outcome: +0.0, not -0.0
+@example([0.0, 1.0, -0.0])
+@example([0.5, 0.25, 0.25])  # no zeros
+@example([0.5, 0.0, 0.25, 0.0, 0.25])  # zeros between
+@example([0.0, 0.0])
+def test_entropy_is_bit_identical_to_the_term_loop(probs):
+    dist = from_probabilities(probs)
+    assert shannon_entropy(dist).hex() == ref_shannon_entropy(dist.probs).hex()
+
+
+def ref_validate(probs):
+    """0.1.0's Distribution checks: each value in order, then the total."""
+    probs = tuple(float(p) for p in probs)
+    if len(probs) == 0:
+        raise EmptyInput("a distribution needs at least one outcome")
+    for i, p in enumerate(probs):
+        if not math.isfinite(p):
+            raise NonFinite(f"probability {i} is {p!r}")
+        if p < 0.0:
+            raise NegativeProbability(f"probability {i} is {p!r}")
+        if p > 1.0:
+            raise ProbabilityAboveOne(f"probability {i} is {p!r}")
+    total = math.fsum(probs)
+    if total > 1.0 + TOL_SUM:
+        raise SumExceedsOne(f"probabilities sum to {total!r}, above 1 + {TOL_SUM:g}")
+
+
+def _raised(fn, probs):
+    try:
+        fn(probs)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+BAD = [math.nan, math.inf, -math.inf, -0.5, -5e-324, 1.5, math.nextafter(1.0, 2.0), 1e308]
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize(
+    "probs",
+    [
+        lambda bad: [bad],
+        lambda bad: [bad, 0.25, 0.25],
+        lambda bad: [0.25, 0.25, bad],
+        lambda bad: [0.25, bad, 0.25, math.nan],  # the first offender is named
+        lambda bad: [0.1, 0.2, bad, -1.0, 2.0, math.inf],
+        lambda bad: [0.0] * 5 + [bad, bad],
+    ],
+    ids=["alone", "first", "last", "before-nan", "before-others", "behind-zeros"],
+)
+def test_validation_errors_match_the_per_value_loop(probs, bad):
+    values = probs(bad)
+    got = _raised(Distribution, tuple(values))
+    assert got is not None
+    assert got == _raised(ref_validate, values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0.6, 0.6],
+        [0.5, 0.5, 2e-9],
+        [0.5, 0.5, 5e-10],  # within the slack: valid
+        [math.inf, -math.inf],  # fsum of these raises
+        [1e308, 1e308, 0.5],  # fsum of these overflows
+        [1.0, -0.0, 0.0],
+    ],
+)
+def test_validation_outcome_matches_the_per_value_loop(values):
+    assert _raised(Distribution, tuple(values)) == _raised(ref_validate, values)
 
