@@ -95,7 +95,7 @@ def _nonfinite_as_strings(obj):
         return "Infinity" if obj > 0.0 else "-Infinity"
     if isinstance(obj, dict):
         return {k: _nonfinite_as_strings(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_nonfinite_as_strings(v) for v in obj]
     return obj
 
@@ -103,12 +103,8 @@ def _nonfinite_as_strings(obj):
 def _write_json(path: str | None, command: str, payload, no_timestamp: bool) -> None:
     # Strict JSON has no infinity or NaN; such fields become the strings
     # "Infinity", "-Infinity" and "NaN".
-    doc = _envelope(command, payload, no_timestamp)
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_nonfinite_as_strings(doc), indent=2)
-    _write_text(path, text + "\n")
+    doc = _nonfinite_as_strings(_envelope(command, payload, no_timestamp))
+    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(
@@ -134,7 +130,7 @@ def _json_probs(values) -> list[float]:
     try:
         items = iter(values)
     except TypeError:
-        raise ParseError(f"JSON 'probs' must be an array, got {json.dumps(values)}") from None
+        raise ParseError(f"JSON 'probs' is not an array: {json.dumps(values)}") from None
     probs = []
     for i, v in enumerate(items):
         try:
@@ -150,7 +146,7 @@ def _json_labels(values) -> list[str]:
     try:
         return [str(s) for s in values]
     except TypeError:
-        raise ParseError(f"JSON 'labels' must be an array, got {json.dumps(values)}") from None
+        raise ParseError(f"JSON 'labels' is not an array: {json.dumps(values)}") from None
 
 
 def _probs_from_file(raw: bytes, fmt: str) -> tuple[list[float], list[str] | None]:
@@ -161,7 +157,8 @@ def _probs_from_file(raw: bytes, fmt: str) -> tuple[list[float], list[str] | Non
     if fmt == "json":
         try:
             doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer literal too long
+        # ValueError also covers an over-long integer literal
+        except (ValueError, RecursionError) as exc:
             raise _DataError(f"invalid JSON: {exc}") from None
         if isinstance(doc, list):
             return _json_probs(doc), None

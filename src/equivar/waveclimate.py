@@ -168,7 +168,8 @@ def _parse_csv(text: str) -> list[AreaRecord]:
 def _parse_json(text: str) -> list[AreaRecord]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers an over-long integer literal
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, list):
         raise ParseError("JSON input must be an array of area objects")
@@ -194,9 +195,17 @@ def _parse_json(text: str) -> list[AreaRecord]:
                 raise NonNumericProbability(
                     f"entry {idx}: d{label} is not a number: {value!r}", row=idx
                 )
+        probs = []
+        for label, value in zip(DIRECTION_LABELS, directions):
+            try:
+                probs.append(float(value))
+            except OverflowError:
+                raise NonNumericProbability(
+                    f"entry {idx}: d{label} is past the float range", row=idx
+                ) from None
         region = entry.get("region")
         try:
-            dist = from_probabilities([float(v) for v in directions], DIRECTION_LABELS)
+            dist = from_probabilities(probs, DIRECTION_LABELS)
         except ValidationFailure as exc:
             raise type(exc)(f"entry {idx}: {exc}") from None
         records.append(

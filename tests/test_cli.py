@@ -95,8 +95,16 @@ def test_analyze_from_json_file(capsys, tmp_path):
         ("[0.5, null]", "NonNumericProbability", "probability 1"),
         ('{"probs": [0.5], "labels": 5}', "ParseError", "'labels'"),
         ("[1" + "0" * 400 + "]", "NonNumericProbability", "probability 0"),
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON", ""),
     ],
-    ids=["string", "probs-number", "null", "labels-number", "int-past-float-range"],
+    ids=[
+        "string",
+        "probs-number",
+        "null",
+        "labels-number",
+        "int-past-float-range",
+        "nested-too-deep",
+    ],
 )
 def test_analyze_rejects_malformed_json_entries(capsys, tmp_path, text, error, entry):
     f = tmp_path / "dist.json"
@@ -123,12 +131,17 @@ def test_infinite_fields_are_strict_json(capsys):
 
 
 def test_json_writer_spells_every_non_finite_float(capsys):
-    payload = [{"a": math.nan, "b": -math.inf, "c": math.inf}, {"a": 0.5, "b": "NaN", "c": 3}]
+    payload = [
+        {"a": math.nan, "b": -math.inf, "c": math.inf},
+        {"a": 0.5, "b": "NaN", "c": 3},
+        (math.inf, 1.5),
+    ]
     cli._write_json(None, "gws", payload, True)
     doc = json.loads(capsys.readouterr().out)
     assert doc["payload"] == [
         {"a": "NaN", "b": "-Infinity", "c": "Infinity"},
         {"a": 0.5, "b": "NaN", "c": 3},
+        ["Infinity", 1.5],
     ]
 
 

@@ -130,6 +130,24 @@ def test_parse_json_errors():
         parse_area_table(json.dumps(doc), "json")
 
 
+@pytest.mark.parametrize(
+    "text, error, match",
+    [
+        (
+            '[{"area": "A1", "directions": [0.1, 0.1, 0.1, 1' + "0" * 400 + ", 0.1, 0.1, 0.1, 0.1]}]",
+            NonNumericProbability,
+            "entry 1: dSE is past the float range",
+        ),
+        ('[{"area": "A1", "directions": [1' + "0" * 5000 + "]}]", ParseError, "invalid JSON"),
+        ("[" * 100_000 + "]" * 100_000, ParseError, "invalid JSON"),
+    ],
+    ids=["int-past-float-range", "int-literal-too-long", "nested-too-deep"],
+)
+def test_parse_json_rejects_numbers_and_nesting_json_cannot_hold(text, error, match):
+    with pytest.raises(error, match=match):
+        parse_area_table(text, "json")
+
+
 def test_round_trip_is_lossless(sample_records):
     for fmt in ("csv", "json"):
         text = format_area_table(sample_records, fmt)
