@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 from . import __version__
-from .errors import EquivarError, NonNumericProbability, ParameterOutOfRange, ParseError
+from .errors import EquivarError, ParameterOutOfRange
 from .distributions import from_probabilities, sweep_binomial
 from .indicators import analyze
 from .oracle import cross_check_report, mc_max_variance, verify_sum_squares_bounds
@@ -30,6 +30,7 @@ from .waveclimate import (
     find_area,
     parse_area_table,
     rank_areas,
+    read_vector,
     rose_data,
 )
 
@@ -42,10 +43,6 @@ PROG = "equivar"
 
 
 class _UsageError(Exception):
-    pass
-
-
-class _DataError(Exception):
     pass
 
 
@@ -123,66 +120,7 @@ def _read_input(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise _DataError(f"cannot open input: {exc}") from None
-
-
-def _json_probs(values) -> list[float]:
-    try:
-        items = iter(values)
-    except TypeError:
-        raise ParseError(f"JSON 'probs' is not an array: {json.dumps(values)}") from None
-    probs = []
-    for i, v in enumerate(items):
-        try:
-            probs.append(float(v))
-        except (TypeError, ValueError, OverflowError):
-            raise NonNumericProbability(
-                f"JSON probability {i} is not a float: {json.dumps(v)}", row=i
-            ) from None
-    return probs
-
-
-def _json_labels(values) -> list[str]:
-    try:
-        return [str(s) for s in values]
-    except TypeError:
-        raise ParseError(f"JSON 'labels' is not an array: {json.dumps(values)}") from None
-
-
-def _probs_from_file(raw: bytes, fmt: str) -> tuple[list[float], list[str] | None]:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _DataError(f"input is not valid UTF-8: {exc}") from None
-    if fmt == "json":
-        try:
-            doc = json.loads(text)
-        # ValueError also covers an over-long integer literal
-        except (ValueError, RecursionError) as exc:
-            raise _DataError(f"invalid JSON: {exc}") from None
-        if isinstance(doc, list):
-            return _json_probs(doc), None
-        if isinstance(doc, dict) and "probs" in doc:
-            labels = doc.get("labels")
-            return (
-                _json_probs(doc["probs"]),
-                None if labels is None else _json_labels(labels),
-            )
-        raise _DataError("JSON input must be an array or an object with 'probs'")
-    # csv: comma-separated values; multiple lines are concatenated in order
-    values: list[float] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        for field in line.split(","):
-            try:
-                values.append(float(field))
-            except ValueError:
-                raise _DataError(
-                    f"row {lineno}: not a number: {field.strip()!r}"
-                ) from None
-    return values, None
+        raise OSError(f"cannot open input: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +132,7 @@ def _cmd_analyze(args) -> int:
     if args.probs is not None:
         values, labels = args.probs, None
     else:
-        values, labels = _probs_from_file(_read_input(args.input), args.format)
+        values, labels = read_vector(_read_input(args.input), args.format)
     report = analyze(from_probabilities(values, labels))
     _write_json(args.output, "analyze", report.to_dict(), args.no_timestamp)
     return EXIT_OK
@@ -439,9 +377,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DataError as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
     except EquivarError as exc:
         print(f"{PROG}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR

@@ -81,7 +81,7 @@ class IncompleteDistribution(EquivarError):
 
 
 class ParseError(EquivarError):
-    """An area table could not be parsed; the message names the offending row."""
+    """An input file could not be parsed; the message names the offending row or entry."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)

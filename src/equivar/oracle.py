@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import IncompleteDistribution, ParameterOutOfRange
-from .indicators import Distribution, analyze, total_probability
+from .indicators import TOL_SUM, Distribution, analyze, total_probability
 
 if TYPE_CHECKING:
     import numpy as np
@@ -133,7 +133,7 @@ def verify_sum_squares_bounds(dist: Distribution) -> OracleResult:
     TOL_SUM of 1, since the bounds assume a complete vector.
     """
     pt = total_probability(dist)
-    if abs(pt - 1.0) > 1e-9:
+    if abs(pt - 1.0) > TOL_SUM:
         raise IncompleteDistribution(
             f"sum-of-squares bounds assume a complete vector, got total {pt!r}"
         )

@@ -1,4 +1,11 @@
-"""Eight-direction ocean-area probability tables and their indicator reports.
+"""Eight-direction ocean-area probability tables, their indicator reports, and
+the package's one input reader.
+
+Every input file the CLI takes, an area table or a single probability
+vector (``read_vector``), is decoded here, under one policy: UTF-8 text,
+JSON through one loader, and one number check per format. In JSON only
+numbers are probabilities (not booleans, strings or null). Every failure
+is a typed ``ParseError``, and one about a value names its row or entry.
 
 Ingests area tables in the shape of the Global Wave Statistics annual
 wind-wave direction compilations: one row per ocean area, eight
@@ -42,6 +49,7 @@ __all__ = [
     "AreaIndicatorReport",
     "ChartRow",
     "parse_area_table",
+    "read_vector",
     "format_area_table",
     "area_report",
     "rank_areas",
@@ -117,14 +125,123 @@ class ChartRow(NamedTuple):
 def _decode(data: bytes | str | IO[bytes]) -> str:
     if isinstance(data, str):
         return data
-    if isinstance(data, (bytes, bytearray)):
-        raw = bytes(data)
-    else:
-        raw = data.read()
+    raw = data if isinstance(data, (bytes, bytearray)) else data.read()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    # ValueError also covers an over-long integer literal
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+
+
+def _read(data: bytes | str | IO[bytes], format: str, from_csv, from_json):
+    """Decode ``data`` and pass it to the reader of its format."""
+    text = _decode(data)
+    if format == "csv":
+        return from_csv(text)
+    if format == "json":
+        return from_json(_load_json(text))
+    raise ParseError(f"unknown format {format!r}, expected 'csv' or 'json'")
+
+
+def _shown(value) -> str:
+    # An array or object is named, not printed: it may nest deeper than
+    # json.dumps can follow.
+    if isinstance(value, (list, dict)):
+        return "an array" if isinstance(value, list) else "an object"
+    return json.dumps(value)
+
+
+def _json_number(value, where: str, row: int) -> float:
+    """A JSON number as a float; booleans, strings and null are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise NonNumericProbability(f"{where} is not a number: {_shown(value)}", row=row)
+    try:
+        return float(value)
+    except OverflowError:
+        raise NonNumericProbability(f"{where} is past the float range", row=row) from None
+
+
+def _csv_number(field: str, where: str, row: int) -> float:
+    try:
+        return float(field)
+    except ValueError:
+        raise NonNumericProbability(
+            f"{where} is not a number: {field.strip()!r}", row=row
+        ) from None
+
+
+def _json_array(doc: dict, key: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ParseError(f"JSON {key!r} is not an array: {_shown(value)}")
+    return value
+
+
+def _vector_csv(text: str) -> tuple[list[float], None]:
+    probs: list[float] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        for field in line.split(","):
+            where = f"row {lineno}: probability {len(probs)}"
+            probs.append(_csv_number(field, where, lineno))
+    return probs, None
+
+
+def _vector_json(doc) -> tuple[list[float], list[str] | None]:
+    if isinstance(doc, list):
+        doc = {"probs": doc}
+    elif not (isinstance(doc, dict) and "probs" in doc):
+        raise ParseError("JSON input must be an array or an object with 'probs'")
+    probs = [
+        _json_number(v, f"JSON probability {i}", i)
+        for i, v in enumerate(_json_array(doc, "probs"))
+    ]
+    labels = doc.get("labels")
+    if labels is not None:
+        labels = [str(s) for s in _json_array(doc, "labels")]
+    return probs, labels
+
+
+def read_vector(
+    data: bytes | str | IO[bytes], format: str = "csv"
+) -> tuple[list[float], list[str] | None]:
+    """Read one probability vector and its labels (or None) from CSV or JSON.
+
+    CSV input is comma-separated numbers; several lines are concatenated in
+    order. JSON input is an array of numbers, or an object whose ``probs``
+    is one, with an optional ``labels`` array. Every diagnostic names the
+    offending entry.
+    """
+    return _read(data, format, _vector_csv, _vector_json)
+
+
+def _add_area(
+    records: dict[str, AreaRecord], where: str, row: int, area_id: str, values, number,
+    region: str | None = None,
+) -> None:
+    """Check one table row's id and 8 values (read by ``number``) and record it."""
+    if not area_id:
+        raise ParseError(f"{where}: empty area id", row=row)
+    if area_id in records:
+        raise DuplicateAreaId(f"{where}: duplicate area {area_id!r}", row=row)
+    probs = [
+        number(value, f"{where}: d{label}", row)
+        for label, value in zip(DIRECTION_LABELS, values)
+    ]
+    try:
+        dist = from_probabilities(probs, DIRECTION_LABELS)
+    except ValidationFailure as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+    records[area_id] = AreaRecord(area_id=area_id, directions=dist, region=region)
 
 
 def _parse_csv(text: str) -> list[AreaRecord]:
@@ -132,8 +249,7 @@ def _parse_csv(text: str) -> list[AreaRecord]:
     if not lines or lines[0].strip("\r") != CSV_HEADER:
         got = lines[0].strip("\r") if lines else "<empty input>"
         raise MalformedHeader(f"header must be {CSV_HEADER!r}, got {got!r}", row=1)
-    records: list[AreaRecord] = []
-    seen: set[str] = set()
+    records: dict[str, AreaRecord] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip("\r")
         if not line:
@@ -143,80 +259,31 @@ def _parse_csv(text: str) -> list[AreaRecord]:
             raise BadFieldCount(
                 f"row {lineno}: expected 9 fields, got {len(fields)}", row=lineno
             )
-        area_id = fields[0].strip()
-        if not area_id:
-            raise ParseError(f"row {lineno}: empty area id", row=lineno)
-        if area_id in seen:
-            raise DuplicateAreaId(f"row {lineno}: duplicate area {area_id!r}", row=lineno)
-        probs = []
-        for label, field in zip(DIRECTION_LABELS, fields[1:]):
-            try:
-                probs.append(float(field))
-            except ValueError:
-                raise NonNumericProbability(
-                    f"row {lineno}: d{label} is not a number: {field!r}", row=lineno
-                ) from None
-        try:
-            dist = from_probabilities(probs, DIRECTION_LABELS)
-        except ValidationFailure as exc:
-            raise type(exc)(f"row {lineno}: {exc}") from None
-        records.append(AreaRecord(area_id=area_id, directions=dist))
-        seen.add(area_id)
-    return records
+        where = f"row {lineno}"
+        _add_area(records, where, lineno, fields[0].strip(), fields[1:], _csv_number)
+    return list(records.values())
 
 
-def _parse_json(text: str) -> list[AreaRecord]:
-    try:
-        doc = json.loads(text)
-    # ValueError also covers an over-long integer literal
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+def _parse_json(doc) -> list[AreaRecord]:
     if not isinstance(doc, list):
         raise ParseError("JSON input must be an array of area objects")
-    records: list[AreaRecord] = []
-    seen: set[str] = set()
+    records: dict[str, AreaRecord] = {}
     for idx, entry in enumerate(doc, start=1):
         if not isinstance(entry, dict) or "area" not in entry or "directions" not in entry:
             raise BadFieldCount(
                 f"entry {idx}: need an object with 'area' and 'directions'", row=idx
             )
-        area_id = str(entry["area"]).strip()
-        if not area_id:
-            raise ParseError(f"entry {idx}: empty area id", row=idx)
-        if area_id in seen:
-            raise DuplicateAreaId(f"entry {idx}: duplicate area {area_id!r}", row=idx)
         directions = entry["directions"]
         if not isinstance(directions, list) or len(directions) != 8:
             raise BadFieldCount(
                 f"entry {idx}: 'directions' must hold 8 numbers", row=idx
             )
-        for label, value in zip(DIRECTION_LABELS, directions):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise NonNumericProbability(
-                    f"entry {idx}: d{label} is not a number: {value!r}", row=idx
-                )
-        probs = []
-        for label, value in zip(DIRECTION_LABELS, directions):
-            try:
-                probs.append(float(value))
-            except OverflowError:
-                raise NonNumericProbability(
-                    f"entry {idx}: d{label} is past the float range", row=idx
-                ) from None
-        region = entry.get("region")
-        try:
-            dist = from_probabilities(probs, DIRECTION_LABELS)
-        except ValidationFailure as exc:
-            raise type(exc)(f"entry {idx}: {exc}") from None
-        records.append(
-            AreaRecord(
-                area_id=area_id,
-                directions=dist,
-                region=None if region is None else str(region),
-            )
+        area_id, region = str(entry["area"]).strip(), entry.get("region")
+        _add_area(
+            records, f"entry {idx}", idx, area_id, directions, _json_number,
+            None if region is None else str(region),
         )
-        seen.add(area_id)
-    return records
+    return list(records.values())
 
 
 def parse_area_table(data: bytes | str | IO[bytes], format: str = "csv") -> list[AreaRecord]:
@@ -228,12 +295,7 @@ def parse_area_table(data: bytes | str | IO[bytes], format: str = "csv") -> list
     N through NW), plus an optional ``region``. Duplicate area ids are
     rejected; every diagnostic names its row.
     """
-    text = _decode(data)
-    if format == "csv":
-        return _parse_csv(text)
-    if format == "json":
-        return _parse_json(text)
-    raise ParseError(f"unknown format {format!r}, expected 'csv' or 'json'")
+    return _read(data, format, _parse_csv, _parse_json)
 
 
 def format_area_table(records: Sequence[AreaRecord], format: str = "csv") -> str:

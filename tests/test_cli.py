@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equivar import analyze, cli, sample_table_path, waveclimate
+from equivar import analyze, cli, errors, sample_table_path, waveclimate
 from equivar.cli import main
 
 RFC3339 = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
@@ -88,14 +92,19 @@ def test_analyze_from_json_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, error, entry",
+    "text, error, entry, fmt",
     [
-        ('["abc"]', "NonNumericProbability", "probability 0"),
-        ('{"probs": 5}', "ParseError", "'probs'"),
-        ("[0.5, null]", "NonNumericProbability", "probability 1"),
-        ('{"probs": [0.5], "labels": 5}', "ParseError", "'labels'"),
-        ("[1" + "0" * 400 + "]", "NonNumericProbability", "probability 0"),
-        ("[" * 100_000 + "]" * 100_000, "invalid JSON", ""),
+        ('["abc"]', "NonNumericProbability", "probability 0", "json"),
+        ('{"probs": 5}', "ParseError", "'probs'", "json"),
+        ("[0.5, null]", "NonNumericProbability", "probability 1", "json"),
+        ('{"probs": [0.5], "labels": 5}', "ParseError", "'labels'", "json"),
+        ("[1" + "0" * 400 + "]", "NonNumericProbability", "probability 0", "json"),
+        ("[" * 100_000 + "]" * 100_000, "ParseError", "invalid JSON", "json"),
+        ('["0.5"]', "NonNumericProbability", "probability 0", "json"),
+        ("[true]", "NonNumericProbability", "probability 0", "json"),
+        ('{"probs": "1"}', "ParseError", "'probs' is not an array", "json"),
+        ('{"probs": [0.5, 0.5], "labels": "ab"}', "ParseError", "'labels' is not an array", "json"),
+        ("0.25,abc\n", "NonNumericProbability", "row 1", "csv"),
     ],
     ids=[
         "string",
@@ -104,15 +113,135 @@ def test_analyze_from_json_file(capsys, tmp_path):
         "labels-number",
         "int-past-float-range",
         "nested-too-deep",
+        "numeric-string",
+        "boolean",
+        "probs-string",
+        "labels-string",
+        "csv-not-a-number",
     ],
 )
-def test_analyze_rejects_malformed_json_entries(capsys, tmp_path, text, error, entry):
-    f = tmp_path / "dist.json"
+def test_analyze_rejects_malformed_json_entries(capsys, tmp_path, text, error, entry, fmt):
+    f = tmp_path / f"dist.{fmt}"
     f.write_text(text)
-    code, out, err = run(capsys, "analyze", "--input", str(f), "--format", "json")
+    code, out, err = run(capsys, "analyze", "--input", str(f), "--format", fmt)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"equivar: {error}: ") and entry in err
+
+
+def test_non_utf8_input_is_the_same_parse_error_everywhere(capsys, tmp_path):
+    f = tmp_path / "latin1.csv"
+    f.write_bytes("0.5,0.5 # \xe9t\xe9\n".encode("latin-1"))
+    lines = []
+    for argv in (["analyze"], ["analyze", "--format", "json"], ["gws"], ["gws", "--format", "json"]):
+        code, out, err = run(capsys, *argv, "--input", str(f))
+        assert code == 2 and out == ""
+        lines.append(err)
+    assert len(set(lines)) == 1
+    assert lines[0].startswith("equivar: ParseError: input is not valid UTF-8: ")
+    assert lines[0].count("\n") == 1
+
+
+def test_deep_nesting_at_the_json_limit_is_one_error_line(capsys, tmp_path):
+    # A value nested just shallower than json.loads can go must not be
+    # printed in an error: json.dumps would run out of stack on it.
+    f = tmp_path / "deep.json"
+
+    def decoded(command, text):
+        f.write_text(text)
+        code, out, err = run(capsys, command, "--input", str(f), "--format", "json")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("equivar: ")
+        return "invalid JSON" not in err
+
+    cases = [
+        ("analyze", lambda a, o: f'{{"probs": {o}}}'),
+        ("analyze", lambda a, o: f'{{"probs": [{a}]}}'),
+        ("analyze", lambda a, o: f'{{"probs": [0.5, 0.5], "labels": {o}}}'),
+        ("gws", lambda a, o: f'[{{"area": "A1", "directions": [{a}, 0, 0, 0, 0, 0, 0, 0]}}]'),
+        ("gws", lambda a, o: f"[{o}]"),
+    ]
+    depth = sys.getrecursionlimit()  # down to the deepest array main() decodes
+    while not decoded("analyze", "[" * depth + "]" * depth):
+        depth -= 1
+    for d in range(depth, depth - 6, -1):
+        array, obj = "[" * d + "]" * d, '{"a": ' * d + "0" + "}" * d
+        for command, make in cases:
+            decoded(command, make(array, obj))
+
+
+# Inputs for the fuzz test below: arbitrary bytes and JSON, plus JSON and
+# CSV in the shapes the readers expect (probabilities of at most 1/8, so
+# eight of them can make a valid area), each part of which may be wrong.
+_SMALL = st.floats(0, 0.125)
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+_JSON_ANY = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=9) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+_AREA_IDS = st.sampled_from(["A1", "A2", " A1", ""])
+_JSON_DOCS = st.one_of(
+    _JSON_ANY,
+    st.lists(_SMALL | _JSON_SCALARS, max_size=9),
+    st.fixed_dictionaries(
+        {"probs": st.lists(_SMALL, max_size=9) | _JSON_ANY},
+        optional={"labels": st.lists(st.text(max_size=2), max_size=9) | _JSON_ANY},
+    ),
+    st.lists(
+        st.fixed_dictionaries(
+            {
+                "area": _AREA_IDS | _JSON_SCALARS,
+                "directions": st.lists(_SMALL, min_size=8, max_size=8) | _JSON_ANY,
+            },
+            optional={"region": _JSON_SCALARS},
+        ),
+        max_size=3,
+    ),
+)
+_CSV_CELLS = _SMALL.map(repr) | st.sampled_from(["", " ", "x", "nan", "-0.1", "1e400", "1_0"])
+_CSV_ROWS = st.builds(
+    lambda area, cells: ",".join(area + cells),
+    st.lists(_AREA_IDS, max_size=1),
+    st.lists(_SMALL.map(repr), min_size=8, max_size=8) | st.lists(_CSV_CELLS, max_size=9),
+)
+_CSV_TEXT = st.builds(
+    lambda header, rows: "\n".join(header + rows) + "\n",
+    st.sampled_from([[], [waveclimate.CSV_HEADER]]),
+    st.lists(_CSV_ROWS, max_size=3),
+)
+_INPUTS = (
+    st.binary(max_size=64)
+    | _JSON_DOCS.map(lambda doc: json.dumps(doc).encode())
+    | _CSV_TEXT.map(str.encode)
+    | st.lists(_SMALL.map(repr), min_size=1, max_size=8).map(lambda c: ",".join(c).encode())
+)
+_FUZZED_COMMANDS = [
+    ["analyze", "--format", "csv"],
+    ["analyze", "--format", "json"],
+    ["gws", "--format", "csv", "--rank", "d", "--chart", "-"],
+    ["gws", "--format", "json", "--rank", "d", "--chart", "-"],
+    ["rose", "--area", "A1"],
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_INPUTS)
+def test_any_input_file_exits_0_or_one_typed_error_line(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-input"
+    path.write_bytes(data)
+    for argv in _FUZZED_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--input", str(path), "--no-timestamp"])
+        if code == 0:
+            assert err.getvalue() == ""
+            continue
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and err.getvalue().endswith("\n"), lines
+        name = re.match(r"equivar: (\w+): ", lines[0])
+        assert name and issubclass(getattr(errors, name[1]), errors.EquivarError), lines
 
 
 def test_infinite_fields_are_strict_json(capsys):

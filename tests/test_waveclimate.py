@@ -30,7 +30,7 @@ from equivar.errors import (
     SumExceedsOne,
     UnknownArea,
 )
-from equivar.waveclimate import CSV_HEADER, DIRECTION_LABELS
+from equivar.waveclimate import CSV_HEADER, DIRECTION_LABELS, read_vector
 
 from conftest import A64_PROBS, A86_PROBS
 
@@ -146,6 +146,33 @@ def test_parse_json_errors():
 def test_parse_json_rejects_numbers_and_nesting_json_cannot_hold(text, error, match):
     with pytest.raises(error, match=match):
         parse_area_table(text, "json")
+
+
+def test_read_vector_csv_and_json():
+    assert read_vector(b"0.25, 0.5\n\n0.25\n", "csv") == ([0.25, 0.5, 0.25], None)
+    assert read_vector("[0.5, 1, 0]", "json") == ([0.5, 1.0, 0.0], None)
+    doc = {"probs": [0.5, 0.5], "labels": ["H", 7], "note": "ignored"}
+    assert read_vector(json.dumps(doc), "json") == ([0.5, 0.5], ["H", "7"])
+    with pytest.raises(NonNumericProbability, match="row 2: probability 2 is not a number: 'x'"):
+        read_vector("0.1,0.1\n x \n", "csv")
+    with pytest.raises(ParseError, match="unknown format"):
+        read_vector("0.5", "xml")
+
+
+@pytest.mark.parametrize(
+    "directions, match",
+    [
+        ([0.1] * 7 + ["0.1"], 'entry 1: dNW is not a number: "0.1"'),
+        ([0.1] * 7 + [True], "entry 1: dNW is not a number: true"),
+        ([None] + [0.1] * 7, "entry 1: dN is not a number: null"),
+        ([[0.1]] + [0.1] * 7, "entry 1: dN is not a number: an array"),
+    ],
+    ids=["numeric-string", "boolean", "null", "array"],
+)
+def test_parse_json_takes_only_json_numbers(directions, match):
+    doc = [{"area": "A1", "directions": directions}]
+    with pytest.raises(NonNumericProbability, match=match):
+        parse_area_table(json.dumps(doc), "json")
 
 
 def test_round_trip_is_lossless(sample_records):
