@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -93,47 +96,81 @@ def _pow_frexp(x: float, k: int) -> tuple[float, int]:
     return mant, exp
 
 
-def _scaled_term(c: int, p: float, k: int, q: float, m: int) -> float:
-    """c * p**k * q**m for a coefficient c too large for a float.
+def _scaled_term(cm: int, s: int, p: float, k: int, q: float, m: int) -> float:
+    """cm * 2**s * p**k * q**m for a coefficient too large for a float.
 
-    c is cut to a 64-bit mantissa whose lowest bit is sticky (set when any
-    dropped bit was), so float() still rounds it to c's nearest double; the
-    three mantissas are multiplied and the summed exponent applied once.
+    (cm, s) is the coefficient as _coefficients stores it: a 64-bit mantissa
+    whose lowest bit is sticky, so float() still rounds cm to the nearest
+    double of the coefficient's top bits; the three mantissas are
+    multiplied and the summed exponent applied once.
     """
-    s = c.bit_length() - 64
-    cm = (c >> s) | bool(c & ((1 << s) - 1))
     pm, pe = _pow_frexp(p, k)
     qm, qe = _pow_frexp(q, m)
     return math.ldexp(cm * pm * qm, s + pe + qe)
 
 
+@lru_cache(maxsize=1)
+def _coefficients(n: int) -> tuple[tuple[float, ...], tuple[tuple[int, int, int], ...]]:
+    """The row C(n, 0..n) as floats, and the coefficients past the float range.
+
+    Returns ``(row, big)``. ``row[k]`` is float(C(n, k)) wherever that fits
+    a float. Each coefficient that does not (only for n >= 1030) is kept in
+    ``big`` as ``(k, cm, s)``: cm is the coefficient cut to a 64-bit
+    mantissa whose lowest bit is set when any dropped bit was, and s the
+    number of bits dropped; its ``row[k]`` holds inf. Either way the row
+    holds O(n) small numbers, not the O(n^2) bits of the exact integers.
+    The exact integer is carried from one k to the next (C(n, k+1) =
+    C(n, k) * (n - k) // (k + 1)) over the first half of the row, and the
+    second half mirrors it.
+    """
+    half: list[float] = []
+    big: list[tuple[int, int, int]] = []
+    c = 1
+    for k in range(n // 2 + 1):
+        try:
+            half.append(float(c))
+        except OverflowError:
+            s = c.bit_length() - 64
+            big.append((k, (c >> s) | bool(c & ((1 << s) - 1)), s))
+            half.append(math.inf)
+        c = c * (n - k) // (k + 1)
+    row = half + half[n - len(half)::-1]
+    big += [(n - k, cm, s) for k, cm, s in reversed(big) if n - k != k]
+    return tuple(row), tuple(big)
+
+
 def binomial(n: int, p: float) -> Distribution:
     """Binomial pmf B(n, p) over k = 0..n as a complete distribution.
 
-    The exact integer coefficient C(n, k) is carried from one k to the next
-    (C(n, k+1) = C(n, k) * (n - k) // (k + 1)), which costs O(n^2) bit
-    operations in all, and each term is ``C(n, k) * p**k * q**(n - k)``
-    evaluated in that order. For n <= 1029 every coefficient fits a float,
-    so every bit equals that of 0.1.0, which called math.comb per term. From
-    n = 1030 on, a term whose coefficient exceeds the float range is instead
-    evaluated with its binary exponent carried apart (see _scaled_term), so
-    any n >= 1 is valid and the terms near the mode stay within a few ulp.
-    Terms far below the mode may lose bits when p**k or q**(n - k)
-    underflows, as in 0.1.0. The p = 0 / p = 1 endpoints degenerate exactly.
+    Each term is ``C(n, k) * p**k * q**(n - k)`` evaluated in that order,
+    with C(n, k) read from a row of coefficients that is computed once per
+    n and cached for the next call with the same n (one row is kept, so a
+    sweep over p for one n builds it once; see _coefficients). For
+    n <= 1029 every coefficient fits a float, and ``float(C(n, k)) * x``
+    rounds exactly as ``C(n, k) * x`` does, so every bit equals that of
+    0.1.0, which called math.comb per term. From n = 1030 on, the row keeps
+    each coefficient past the float range as a 64-bit sticky mantissa and a
+    shift, and its term is evaluated with its binary exponent carried apart
+    (see _scaled_term), so any n >= 1 is valid and the terms near the mode
+    stay within a few ulp. Terms far below the mode may lose bits when
+    p**k or q**(n - k) underflows, as in 0.1.0. The p = 0 / p = 1 endpoints
+    degenerate exactly.
     """
     if n < 1:
         raise ZeroSize(f"need n >= 1, got {n}")
     if not (math.isfinite(p) and 0.0 <= p <= 1.0):
         raise ParameterOutOfRange(f"need 0 <= p <= 1, got {p!r}")
     q = 1.0 - p
-    probs = []
-    c = 1
-    for k in range(n + 1):
-        try:
-            probs.append(c * p**k * q ** (n - k))
-        except OverflowError:
-            probs.append(_scaled_term(c, p, k, q, n - k))
-        c = c * (n - k) // (k + 1)
+    row, big = _coefficients(n)
+    probs = list(
+        map(
+            mul,
+            map(mul, row, map(pow, repeat(p), range(n + 1))),
+            map(pow, repeat(q), range(n, -1, -1)),
+        )
+    )
+    for k, cm, s in big:
+        probs[k] = _scaled_term(cm, s, p, k, q, n - k)
     return Distribution(tuple(probs))
 
 

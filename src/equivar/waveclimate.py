@@ -63,6 +63,11 @@ DIRECTION_LABELS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 BEARINGS_DEG = (0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0)
 CSV_HEADER = "area,dN,dNE,dE,dSE,dS,dSW,dW,dNW"
 
+# Characters an area id may not hold: each would break a row of the chart
+# CSV, which writes ids unquoted. They are the comma, the double quote and
+# the C0, DEL and C1 control characters.
+_CHART_BREAKING = frozenset(',"' + "".join(map(chr, [*range(0x20), *range(0x7F, 0xA0)])))
+
 # Report field backing each ranking key.
 RANK_KEYS = {
     "d": "equiv_number_d",
@@ -169,7 +174,10 @@ def _json_number(value, where: str, row: int) -> float:
 
 
 def _csv_number(field: str, where: str, row: int) -> float:
+    """A CSV field as a float: what ``float()`` reads, but in ASCII and without ``_``."""
     try:
+        if "_" in field or not field.isascii():
+            raise ValueError
         return float(field)
     except ValueError:
         raise NonNumericProbability(
@@ -224,6 +232,15 @@ def read_vector(
     return _read(data, format, _vector_csv, _vector_json)
 
 
+def _writable_id(area_id: str) -> bool:
+    """Whether an id can be written into the chart CSV unquoted, as UTF-8."""
+    try:
+        area_id.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return _CHART_BREAKING.isdisjoint(area_id)
+
+
 def _add_area(
     records: dict[str, AreaRecord], where: str, row: int, area_id: str, values, number,
     region: str | None = None,
@@ -231,6 +248,12 @@ def _add_area(
     """Check one table row's id and 8 values (read by ``number``) and record it."""
     if not area_id:
         raise ParseError(f"{where}: empty area id", row=row)
+    if not _writable_id(area_id):
+        raise ParseError(
+            f"{where}: area id {area_id!r} holds a comma, a double quote, "
+            "a control character or a lone surrogate",
+            row=row,
+        )
     if area_id in records:
         raise DuplicateAreaId(f"{where}: duplicate area {area_id!r}", row=row)
     probs = [
@@ -278,7 +301,12 @@ def _parse_json(doc) -> list[AreaRecord]:
             raise BadFieldCount(
                 f"entry {idx}: 'directions' must hold 8 numbers", row=idx
             )
-        area_id, region = str(entry["area"]).strip(), entry.get("region")
+        area_id, region = entry["area"], entry.get("region")
+        if not isinstance(area_id, str):
+            raise ParseError(
+                f"entry {idx}: area id is not a string: {_shown(area_id)}", row=idx
+            )
+        area_id = area_id.strip()
         _add_area(
             records, f"entry {idx}", idx, area_id, directions, _json_number,
             None if region is None else str(region),

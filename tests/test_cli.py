@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import csv
 import io
 import json
 import math
@@ -105,6 +106,8 @@ def test_analyze_from_json_file(capsys, tmp_path):
         ('{"probs": "1"}', "ParseError", "'probs' is not an array", "json"),
         ('{"probs": [0.5, 0.5], "labels": "ab"}', "ParseError", "'labels' is not an array", "json"),
         ("0.25,abc\n", "NonNumericProbability", "row 1", "csv"),
+        ("0.2_5,0.7_5\n", "NonNumericProbability", "row 1: probability 0", "csv"),
+        ("0.5,\u0660.\u0665\n", "NonNumericProbability", "row 1: probability 1", "csv"),
     ],
     ids=[
         "string",
@@ -118,6 +121,8 @@ def test_analyze_from_json_file(capsys, tmp_path):
         "probs-string",
         "labels-string",
         "csv-not-a-number",
+        "csv-underscore",
+        "csv-arabic-indic-digits",
     ],
 )
 def test_analyze_rejects_malformed_json_entries(capsys, tmp_path, text, error, entry, fmt):
@@ -127,6 +132,33 @@ def test_analyze_rejects_malformed_json_entries(capsys, tmp_path, text, error, e
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"equivar: {error}: ") and entry in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+def test_csv_non_finite_numbers_are_read_and_refused_by_validation(capsys, tmp_path, cell):
+    f = tmp_path / "dist.csv"
+    f.write_text(f"0.5,{cell}\n")
+    code, out, err = run(capsys, "analyze", "--input", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("equivar: NonFinite: probability 1 is ") and err.count("\n") == 1
+    f.write_text(f"{waveclimate.CSV_HEADER}\nA1,{cell},0,0,0,0,0,0,0\n")
+    code, out, err = run(capsys, "gws", "--input", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("equivar: NonFinite: row 2: ") and err.count("\n") == 1
+
+
+def test_lone_surrogate_area_id_is_one_error_line_from_a_real_process(tmp_path):
+    # Written to a real stdout, such an id could not be encoded as UTF-8.
+    f = tmp_path / "areas.json"
+    f.write_text(json.dumps([{"area": "\ud800", "directions": [0.1] * 8}]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "equivar", "gws", "--input", str(f), "--format", "json",
+         "--chart", "-", "--no-timestamp"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("equivar: ParseError: entry 1: area id ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_non_utf8_input_is_the_same_parse_error_everywhere(capsys, tmp_path):
@@ -181,6 +213,12 @@ _JSON_ANY = st.recursive(
     max_leaves=20,
 )
 _AREA_IDS = st.sampled_from(["A1", "A2", " A1", ""])
+# Any code point, lone surrogates included (JSON escapes them; CSV input
+# cannot hold them as UTF-8, so there they make the file invalid).
+_ANY_CHAR = st.characters(exclude_categories=()) | st.characters(
+    min_codepoint=0xD800, max_codepoint=0xDFFF
+)
+_UNICODE_IDS = st.text(_ANY_CHAR, max_size=4)
 _JSON_DOCS = st.one_of(
     _JSON_ANY,
     st.lists(_SMALL | _JSON_SCALARS, max_size=9),
@@ -191,7 +229,7 @@ _JSON_DOCS = st.one_of(
     st.lists(
         st.fixed_dictionaries(
             {
-                "area": _AREA_IDS | _JSON_SCALARS,
+                "area": _AREA_IDS | _JSON_SCALARS | _UNICODE_IDS,
                 "directions": st.lists(_SMALL, min_size=8, max_size=8) | _JSON_ANY,
             },
             optional={"region": _JSON_SCALARS},
@@ -202,7 +240,7 @@ _JSON_DOCS = st.one_of(
 _CSV_CELLS = _SMALL.map(repr) | st.sampled_from(["", " ", "x", "nan", "-0.1", "1e400", "1_0"])
 _CSV_ROWS = st.builds(
     lambda area, cells: ",".join(area + cells),
-    st.lists(_AREA_IDS, max_size=1),
+    st.lists(_AREA_IDS | _UNICODE_IDS, max_size=1),
     st.lists(_SMALL.map(repr), min_size=8, max_size=8) | st.lists(_CSV_CELLS, max_size=9),
 )
 _CSV_TEXT = st.builds(
@@ -213,7 +251,7 @@ _CSV_TEXT = st.builds(
 _INPUTS = (
     st.binary(max_size=64)
     | _JSON_DOCS.map(lambda doc: json.dumps(doc).encode())
-    | _CSV_TEXT.map(str.encode)
+    | _CSV_TEXT.map(lambda text: text.encode("utf-8", "surrogatepass"))
     | st.lists(_SMALL.map(repr), min_size=1, max_size=8).map(lambda c: ",".join(c).encode())
 )
 _FUZZED_COMMANDS = [
@@ -223,6 +261,18 @@ _FUZZED_COMMANDS = [
     ["gws", "--format", "json", "--rank", "d", "--chart", "-"],
     ["rose", "--area", "A1"],
 ]
+
+
+def assert_chart_parses_back(out: str) -> list[str]:
+    """The chart CSV after the JSON report holds the report's ids, 7 columns a
+    row; returns the ids."""
+    report, chart = out.split("# tool_version", 1)
+    ids = sorted(entry["area_id"] for entry in json.loads(report)["payload"])
+    body = chart.split("\narea_id,p_total,cv_rel,h_rel,d,f,g\n", 1)[1]
+    rows = list(csv.reader(io.StringIO(body)))
+    assert [row[0] for row in rows] == ids
+    assert all(len(row) == 7 for row in rows)
+    return ids
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,12 +286,30 @@ def test_any_input_file_exits_0_or_one_typed_error_line(tmp_path_factory, data):
             code = main([*argv, "--input", str(path), "--no-timestamp"])
         if code == 0:
             assert err.getvalue() == ""
+            if argv[0] == "gws":
+                assert_chart_parses_back(out.getvalue())
             continue
         assert code == 2 and out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and err.getvalue().endswith("\n"), lines
         name = re.match(r"equivar: (\w+): ", lines[0])
         assert name and issubclass(getattr(errors, name[1]), errors.EquivarError), lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=st.lists(_UNICODE_IDS | _AREA_IDS, min_size=1, max_size=3))
+def test_any_accepted_area_id_round_trips_through_the_chart(tmp_path_factory, ids):
+    path = tmp_path_factory.getbasetemp() / "unicode-ids.json"
+    path.write_text(json.dumps([{"area": i, "directions": [0.125] * 8} for i in ids]))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["gws", "--input", str(path), "--format", "json", "--chart", "-",
+                     "--no-timestamp"])
+    if code == 0:
+        assert assert_chart_parses_back(out.getvalue()) == sorted(i.strip() for i in ids)
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert re.match(r"equivar: (ParseError|DuplicateAreaId): entry \d+: ", err.getvalue())
 
 
 def test_infinite_fields_are_strict_json(capsys):

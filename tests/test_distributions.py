@@ -27,6 +27,7 @@ from equivar.errors import (
     SumExceedsOne,
     ZeroSize,
 )
+from equivar import distributions
 from equivar.indicators import TOL_SUM
 
 from conftest import A64_PROBS
@@ -240,3 +241,86 @@ def test_sweep_rejects_bad_steps():
         sweep_binomial((1, 2), 1)
     with pytest.raises(ZeroSize):
         sweep_binomial((0,), 3)
+
+
+# ----------------------------------------------------------------------
+# the cached coefficient row
+
+
+def _hex(probs):
+    return [float(x).hex() for x in probs]
+
+
+def _fresh(n, p):
+    distributions._coefficients.cache_clear()
+    return _hex(binomial(n, p).probs)
+
+
+def test_interleaved_calls_give_fresh_bits():
+    n1, n2, p = 37, 1050, 0.3
+    first = _hex(binomial(n1, p).probs)
+    points = sweep_binomial([n1, n2, n1], 5)
+    mid = _hex(binomial(n2, p).probs)
+    again = _hex(binomial(n1, p).probs)
+    assert first == again == _fresh(n1, p)
+    assert mid == _fresh(n2, p)
+    for pt in points:
+        reports = (pt.report, analyze(binomial(pt.n, pt.p)))
+        distributions._coefficients.cache_clear()
+        fresh = analyze(binomial(pt.n, pt.p))
+        for rep in reports:
+            assert _hex(rep.to_dict().values()) == _hex(fresh.to_dict().values())
+
+
+def _pow_frexp(x, k):
+    m, e = math.frexp(x)
+    mant, exp = 1.0, e * k
+    while k:
+        j = min(k, 1000)
+        mant, r = math.frexp(mant * m**j)
+        exp += r
+        k -= j
+    return mant, exp
+
+
+def _big_term(c, p, k, q, m):
+    """equivar's term for an integer coefficient past the float range, as
+    it was computed before the row was cached."""
+    s = c.bit_length() - 64
+    cm = (c >> s) | bool(c & ((1 << s) - 1))
+    pm, pe = _pow_frexp(p, k)
+    qm, qe = _pow_frexp(q, m)
+    return math.ldexp(cm * pm * qm, s + pe + qe)
+
+
+@given(
+    st.integers(min_value=1030, max_value=3000),
+    st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0, 1]),
+)
+@example(1030, 0.5)
+@example(1073, 0.5)  # C(1073, 413) rounds up to a double only through its sticky bit
+@example(1031, 0.0)
+@example(2999, 1.0)
+@example(1100, 1)
+@settings(max_examples=10, deadline=None)
+def test_binomial_past_the_float_range_keeps_its_bits(n, p):
+    got = binomial(n, p).probs
+    q = 1.0 - p
+    assert distributions._coefficients(n)[1]  # some coefficients are past the float range
+    for k in range(n + 1):
+        c = math.comb(n, k)
+        try:
+            want = c * p**k * q ** (n - k)
+        except OverflowError:
+            want = _big_term(c, p, k, q, n - k)
+        assert got[k].hex() == want.hex(), (n, p, k)
+
+
+def test_cached_row_is_small_numbers_only():
+    binomial(20000, 0.5)
+    info = distributions._coefficients.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    row, big = distributions._coefficients(20000)
+    assert len(row) == 20001 and all(type(c) is float for c in row)
+    assert big and all(type(v) is int and v.bit_length() <= 64 for entry in big for v in entry)
+    assert sorted(k for k, _, _ in big) == [k for k, c in enumerate(row) if c == math.inf]

@@ -389,8 +389,29 @@ def test_validation_errors_match_the_per_value_loop(probs, bad):
         [math.inf, -math.inf],  # fsum of these raises
         [1e308, 1e308, 0.5],  # fsum of these overflows
         [1.0, -0.0, 0.0],
+        # The plain sum lies within its error bound of 1 + TOL_SUM, so the
+        # outcome rests on the exact total.
+        [0.5, 1.0 + TOL_SUM - 0.5],  # exactly 1 + TOL_SUM: valid
+        [0.5, 1.0 + TOL_SUM - 0.5 - 2.0**-52],  # one ulp below: valid
+        [0.5, 1.0 + TOL_SUM - 0.5] + [2.0**-54] * 3,  # plain sum at the bound, fsum one ulp above
+        # 10**5 values each too small to move the plain sum: it stays below
+        # the bound while the exact total is ~2.8e-12 higher.
+        [0.5, 1.0 + TOL_SUM - 0.5 - 1e-12] + [2.0**-55] * 100_000,  # fsum above
+        [0.5, 1.0 + TOL_SUM - 0.5 - 1e-11] + [2.0**-55] * 100_000,  # fsum below
     ],
 )
 def test_validation_outcome_matches_the_per_value_loop(values):
+    assert _raised(Distribution, tuple(values)) == _raised(ref_validate, values)
+
+
+@given(
+    st.lists(st.floats(2.0**-60, 1.0), min_size=1, max_size=40),
+    st.integers(-8, 8),
+)
+@settings(max_examples=300, deadline=None)
+def test_validation_near_the_sum_bound_matches_the_per_value_loop(values, ulps):
+    # Scale the vector so that its total lands a few ulps from 1 + TOL_SUM.
+    scale = (1.0 + TOL_SUM + ulps * 2.0**-52) / math.fsum(values)
+    values = [v * scale for v in values]
     assert _raised(Distribution, tuple(values)) == _raised(ref_validate, values)
 

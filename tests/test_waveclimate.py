@@ -89,6 +89,45 @@ def test_parse_rejects_non_numeric():
         parse_area_table(table(row), "csv")
 
 
+@pytest.mark.parametrize("cell", ["0.2_5", "\u0660.\u0665", "1_0", "0.5\u00a0"])
+def test_parse_csv_takes_ascii_numbers_without_underscores(cell):
+    row = f"A01,{cell},0.1,0.1,0.1,0.1,0.1,0.1,0.1"
+    with pytest.raises(NonNumericProbability, match="row 2: dN is not a number"):
+        parse_area_table(table(row), "csv")
+
+
+@pytest.mark.parametrize(
+    "area", [[1, 2], True, 5, None, {"id": "A1"}], ids=["array", "true", "number", "null", "object"]
+)
+def test_parse_json_area_id_must_be_a_string(area):
+    doc = [{"area": "A0", "directions": [0.1] * 8}, {"area": area, "directions": [0.1] * 8}]
+    with pytest.raises(ParseError, match="entry 2: area id is not a string") as info:
+        parse_area_table(json.dumps(doc), "json")
+    assert info.value.row == 2
+
+
+@pytest.mark.parametrize(
+    "area", ["A,1", "A1\nB", "A\r1", 'A"1', "A\t1", "A\x001", "A\x7f", "A\x851", "\ud800", "A\udfff"]
+)
+def test_json_area_id_holds_no_chart_breaking_character(area):
+    doc = [{"area": area, "directions": [0.1] * 8}]
+    with pytest.raises(ParseError, match="entry 1: area id .* holds a comma") as info:
+        parse_area_table(json.dumps(doc), "json")
+    assert info.value.row == 1
+
+
+@pytest.mark.parametrize("area", ['A"1', '"A1"', "A\t1", "A\x001", "A\x7f", "A\x9f1"])
+def test_csv_area_id_holds_no_chart_breaking_character(area):
+    with pytest.raises(ParseError, match="row 3: area id .* holds a comma") as info:
+        parse_area_table(table(A64_ROW, f"{area},0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1"), "csv")
+    assert info.value.row == 3
+
+
+def test_area_ids_may_hold_other_unicode():
+    doc = [{"area": " \u00e9t\u00e9 \u2192 \U0001f30a ", "directions": [0.1] * 8}]
+    assert parse_area_table(json.dumps(doc), "json")[0].area_id == "\u00e9t\u00e9 \u2192 \U0001f30a"
+
+
 def test_parse_rejects_duplicate_area():
     with pytest.raises(DuplicateAreaId):
         parse_area_table(table(A64_ROW, A64_ROW), "csv")
