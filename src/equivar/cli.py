@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from datetime import datetime, timezone
 from typing import Sequence
 
 from . import __version__
@@ -58,6 +57,9 @@ def _fmt(x: float) -> str:
 
 
 def _utc_now() -> str:
+    # Imported here: most calls pass --no-timestamp and never need it.
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

@@ -8,7 +8,7 @@ and the binomial family B(n, p) swept over a probability grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
@@ -21,7 +21,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroSize,
 )
-from .indicators import Distribution, IndicatorReport, analyze
+from .indicators import Distribution, analyze
 
 __all__ = [
     "SweepPoint",
@@ -34,13 +34,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(namedtuple("SweepPoint", "n p report")):
     """One binomial grid cell: trial count n, success probability p, full report."""
 
-    n: int
-    p: float
-    report: IndicatorReport
+    __slots__ = ()
 
 
 def from_probabilities(
@@ -56,7 +53,11 @@ def from_counts(counts: Sequence[int]) -> Distribution:
     if not counts:
         raise EmptyInput("no counts given")
     for i, c in enumerate(counts):
-        if c != int(c) or c < 0:
+        try:
+            whole = c == int(c)
+        except (ValueError, OverflowError):  # NaN, infinity
+            whole = False
+        if not whole or c < 0:
             raise ParameterOutOfRange(f"count {i} is {c!r}, need a non-negative integer")
     total = sum(int(c) for c in counts)
     if total == 0:

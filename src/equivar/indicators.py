@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import mul
 from typing import Iterator, Sequence
@@ -86,8 +86,43 @@ TOL_SUM = 1e-9
 W = 64
 
 
-@dataclass(frozen=True)
-class Distribution:
+class _Record:
+    """Base of the validated records: immutable slotted fields, compared by value.
+
+    A subclass lists its fields in ``__slots__`` and sets them in
+    ``__init__`` with ``object.__setattr__``; equality, hashing, ``repr``
+    and pickling all run over those fields in that order.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so an unpickled copy is validated too.
+        return type(self), self._values()
+
+
+class Distribution(_Record):
     """Validated, immutable vector of outcome probabilities with optional labels.
 
     Raises a :class:`~equivar.errors.ValidationFailure` subclass at
@@ -96,8 +131,14 @@ class Distribution:
     labels (when given) matching the probabilities in count.
     """
 
+    __slots__ = ("probs", "labels")
     probs: tuple[float, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
+
+    def __init__(self, probs, labels=None) -> None:
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "labels", labels)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         probs = tuple(map(float, self.probs))
@@ -151,8 +192,13 @@ class Distribution:
         return iter(self.probs)
 
 
-@dataclass(frozen=True)
-class IndicatorReport:
+class IndicatorReport(
+    namedtuple(
+        "IndicatorReport",
+        "n_outcomes p_total p_mean variance ref_variance cv cv_rel entropy_bits"
+        " entropy_rel avg_number_f equiv_number_d equiv_number_g duality_residual",
+    )
+):
     """Every scalar indicator of one distribution, as produced by :func:`analyze`.
 
     ``entropy_bits`` is the order-1 Renyi entropy (Shannon entropy divided by
@@ -161,36 +207,10 @@ class IndicatorReport:
     D * G = N / p_total**2 evaluated on the rounded field values.
     """
 
-    n_outcomes: int
-    p_total: float
-    p_mean: float
-    variance: float
-    ref_variance: float
-    cv: float
-    cv_rel: float
-    entropy_bits: float
-    entropy_rel: float
-    avg_number_f: float
-    equiv_number_d: float
-    equiv_number_g: float
-    duality_residual: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "n_outcomes": self.n_outcomes,
-            "p_total": self.p_total,
-            "p_mean": self.p_mean,
-            "variance": self.variance,
-            "ref_variance": self.ref_variance,
-            "cv": self.cv,
-            "cv_rel": self.cv_rel,
-            "entropy_bits": self.entropy_bits,
-            "entropy_rel": self.entropy_rel,
-            "avg_number_f": self.avg_number_f,
-            "equiv_number_d": self.equiv_number_d,
-            "equiv_number_g": self.equiv_number_g,
-            "duality_residual": self.duality_residual,
-        }
+        return self._asdict()
 
 
 def _ulp_exponent(x: float) -> int:

@@ -10,7 +10,7 @@ in every result, making runs bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import IncompleteDistribution, ParameterOutOfRange
@@ -35,8 +35,9 @@ ORACLE_TOL = 1e-12
 _MC_CHUNK = 1 << 20
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(
+    namedtuple("OracleResult", "target value_found reference_value residual trials seed")
+):
     """Outcome of one validation run.
 
     ``residual`` is defined so that 0 means the claim held exactly and
@@ -46,26 +47,14 @@ class OracleResult:
     ``trials`` are 0 for the deterministic checks.
     """
 
-    target: str
-    value_found: float
-    reference_value: float
-    residual: float
-    trials: int
-    seed: int
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.residual <= ORACLE_TOL
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "value_found": self.value_found,
-            "reference_value": self.reference_value,
-            "residual": self.residual,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return self._asdict()
 
 
 def sample_simplex(

@@ -23,9 +23,9 @@ plus three synthetic areas (SYN1..SYN3) added for ranking tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Sequence
 
 from .errors import (
     BadFieldCount,
@@ -37,7 +37,7 @@ from .errors import (
     UnknownArea,
     ValidationFailure,
 )
-from .indicators import Distribution, IndicatorReport, analyze
+from .indicators import Distribution, _Record, analyze
 from .distributions import from_probabilities
 
 __all__ = [
@@ -77,13 +77,19 @@ RANK_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class AreaRecord:
+class AreaRecord(_Record):
     """One ocean area: identifier plus its 8-direction probability vector."""
 
+    __slots__ = ("area_id", "directions", "region")
     area_id: str
     directions: Distribution
-    region: str | None = None
+    region: str | None
+
+    def __init__(self, area_id, directions, region=None) -> None:
+        object.__setattr__(self, "area_id", area_id)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "region", region)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.area_id:
@@ -104,27 +110,19 @@ class AreaRecord:
             )
 
 
-@dataclass(frozen=True)
-class AreaIndicatorReport:
+class AreaIndicatorReport(namedtuple("AreaIndicatorReport", "area_id report")):
     """Indicator report tagged with the area it describes."""
 
-    area_id: str
-    report: IndicatorReport
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"area_id": self.area_id, "report": self.report.to_dict()}
 
 
-class ChartRow(NamedTuple):
+class ChartRow(namedtuple("ChartRow", "area_id p_total cv_rel h_rel d f g")):
     """One per-area line of the plottable indicator table."""
 
-    area_id: str
-    p_total: float
-    cv_rel: float
-    h_rel: float
-    d: float
-    f: float
-    g: float
+    __slots__ = ()
 
 
 def _decode(data: bytes | str | IO[bytes]) -> str:

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equivar import analyze, cli, errors, sample_table_path, waveclimate
@@ -298,6 +298,9 @@ def test_any_input_file_exits_0_or_one_typed_error_line(tmp_path_factory, data):
 
 @settings(max_examples=150, deadline=None)
 @given(ids=st.lists(_UNICODE_IDS | _AREA_IDS, min_size=1, max_size=3))
+# Two code units of a surrogate pair: JSON escapes them, and reading the
+# escapes back gives the one code point U+10000, as the JSON spec says.
+@example(ids=["\ud800\udc00"])
 def test_any_accepted_area_id_round_trips_through_the_chart(tmp_path_factory, ids):
     path = tmp_path_factory.getbasetemp() / "unicode-ids.json"
     path.write_text(json.dumps([{"area": i, "directions": [0.125] * 8} for i in ids]))
@@ -306,7 +309,8 @@ def test_any_accepted_area_id_round_trips_through_the_chart(tmp_path_factory, id
         code = main(["gws", "--input", str(path), "--format", "json", "--chart", "-",
                      "--no-timestamp"])
     if code == 0:
-        assert assert_chart_parses_back(out.getvalue()) == sorted(i.strip() for i in ids)
+        want = sorted(json.loads(json.dumps(i)).strip() for i in ids)
+        assert assert_chart_parses_back(out.getvalue()) == want
     else:
         assert code == 2 and out.getvalue() == ""
         assert re.match(r"equivar: (ParseError|DuplicateAreaId): entry \d+: ", err.getvalue())
@@ -645,10 +649,32 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["payload"]["equiv_number_d"] == 2.0
 
 
+# Modules a CLI start must not load: numpy serves only the Monte-Carlo
+# oracle, the exact moments are integer arithmetic, the records need no
+# dataclass machinery (dataclasses pulls in inspect), and datetime is
+# imported only when a timestamp is printed.
+_UNLOADED_AT_START = ("numpy", "fractions", "dataclasses", "inspect", "datetime")
+
+
 def test_cli_import_loads_neither_numpy_nor_fractions():
-    # numpy is needed only by the Monte-Carlo oracle and the exact moments
-    # are integer arithmetic, so a CLI start must load neither module.
-    code = "import sys, equivar.cli; print('numpy' in sys.modules, 'fractions' in sys.modules)"
+    # One fresh process checks every name; the list names any that loaded.
+    code = (
+        "import sys, equivar.cli; "
+        f"print(*[m for m in {_UNLOADED_AT_START!r} if m in sys.modules])"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == []
+
+
+def test_timestamp_is_printed_by_a_fresh_process():
+    # datetime is imported on first use, so check where nothing preloaded it.
+    json_out, csv_out = (
+        subprocess.run([sys.executable, "-m", "equivar", *argv],
+                       capture_output=True, text=True, check=True).stdout
+        for argv in (["analyze", "--probs", "1"],
+                     ["binomial-sweep", "--n", "1", "--p-steps", "2"])
+    )
+    assert RFC3339.match(json.loads(json_out)["generated_at"])
+    stamps = [line for line in csv_out.splitlines() if line.startswith("# generated_at: ")]
+    assert len(stamps) == 1 and RFC3339.match(stamps[0].removeprefix("# generated_at: "))

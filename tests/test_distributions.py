@@ -78,6 +78,12 @@ def test_from_counts():
         from_counts(())
     with pytest.raises(ParameterOutOfRange):
         from_counts((2, -1))
+    with pytest.raises(ParameterOutOfRange, match=r"^count 1 is 1\.5, need"):
+        from_counts((2, 1.5))
+    with pytest.raises(ParameterOutOfRange, match=r"^count 1 is nan, need"):
+        from_counts((2, math.nan))
+    with pytest.raises(ParameterOutOfRange, match=r"^count 0 is inf, need"):
+        from_counts((math.inf, 2))
 
 
 def test_uniform():
