@@ -8,6 +8,7 @@ and the binomial family B(n, p) swept over a probability grid.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
@@ -44,7 +45,7 @@ def from_probabilities(
     values: Iterable[float], labels: Sequence[str] | None = None
 ) -> Distribution:
     """Build a validated Distribution from explicit probabilities."""
-    return Distribution(tuple(values), None if labels is None else tuple(labels))
+    return Distribution(tuple(values), labels)
 
 
 def from_counts(counts: Sequence[int]) -> Distribution:
@@ -55,7 +56,7 @@ def from_counts(counts: Sequence[int]) -> Distribution:
     for i, c in enumerate(counts):
         try:
             whole = c == int(c)
-        except (ValueError, OverflowError):  # NaN, infinity
+        except (TypeError, ValueError, OverflowError):  # None, NaN, infinity
             whole = False
         if not whole or c < 0:
             raise ParameterOutOfRange(f"count {i} is {c!r}, need a non-negative integer")
@@ -65,8 +66,17 @@ def from_counts(counts: Sequence[int]) -> Distribution:
     return Distribution(tuple(c / total for c in counts))
 
 
+def _integer(value, name: str, error: type) -> int:
+    """value as an int (anything operator.index takes), else ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"need an integer {name}, got {value!r}") from None
+
+
 def uniform(n: int) -> Distribution:
     """n outcomes of probability 1/n each."""
+    n = _integer(n, "n", ParameterOutOfRange)
     if n < 1:
         raise ZeroSize(f"need n >= 1, got {n}")
     return Distribution((1.0 / n,) * n)
@@ -74,11 +84,15 @@ def uniform(n: int) -> Distribution:
 
 def degenerate(n: int, sure_index: int = 0) -> Distribution:
     """One sure outcome at sure_index, the other n - 1 impossible."""
+    n = _integer(n, "n", ParameterOutOfRange)
     if n < 1:
         raise ZeroSize(f"need n >= 1, got {n}")
+    sure_index = _integer(sure_index, "sure_index", IndexOutOfRange)
     if not 0 <= sure_index < n:
         raise IndexOutOfRange(f"sure_index {sure_index} outside [0, {n})")
-    return Distribution(tuple(1.0 if i == sure_index else 0.0 for i in range(n)))
+    probs = [0.0] * n
+    probs[sure_index] = 1.0
+    return Distribution(probs)
 
 
 def _pow_frexp(x: float, k: int) -> tuple[float, int]:
@@ -154,13 +168,18 @@ def binomial(n: int, p: float) -> Distribution:
     shift, and its term is evaluated with its binary exponent carried apart
     (see _scaled_term), so any n >= 1 is valid and the terms near the mode
     stay within a few ulp. Terms far below the mode may lose bits when
-    p**k or q**(n - k) underflows, as in 0.1.0. The p = 0 / p = 1 endpoints
-    degenerate exactly.
+    p**k or q**(n - k) underflows, as in 0.1.0. The p = 1 and p = +0.0
+    endpoints are one sure outcome and are built in closed form, as
+    :func:`degenerate` (the same bits the terms give). p = -0.0 takes the
+    general path, whose odd-k terms are -0.0 as in 0.1.0.
     """
+    n = _integer(n, "n", ParameterOutOfRange)
     if n < 1:
         raise ZeroSize(f"need n >= 1, got {n}")
     if not (math.isfinite(p) and 0.0 <= p <= 1.0):
         raise ParameterOutOfRange(f"need 0 <= p <= 1, got {p!r}")
+    if p == 1.0 or (p == 0.0 and math.copysign(1.0, p) > 0.0):
+        return degenerate(n + 1, n if p else 0)
     q = 1.0 - p
     row, big = _coefficients(n)
     probs = list(
@@ -181,6 +200,7 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     The grid is {0, 1/(p_steps-1), ..., 1}; output is row-major (n outer,
     p inner), one fully analyzed SweepPoint per cell.
     """
+    p_steps = _integer(p_steps, "p_steps", ParameterOutOfRange)
     if p_steps < 2:
         raise ParameterOutOfRange(f"need p_steps >= 2, got {p_steps}")
     steps = p_steps - 1

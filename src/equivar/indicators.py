@@ -36,7 +36,13 @@ Identities between them therefore hold to the last ulp: a uniform vector
 has CV exactly 0, the closed form of CV agrees exactly with sigma/mean, and
 the duality residual stays at rounding level (~1e-16) for any valid input.
 Entropy and the numbers derived from it use correctly rounded float
-summation (math.fsum) of the terms p * log2(p), good to a few ulp.
+summation (math.fsum) of the terms p * log2(p), good to a few ulp. Being
+correctly rounded, fsum gives the same bits in any order, but it is much
+faster when the terms come largest first; so when the moment kernel has
+sorted the values into exponent windows, analyze sums the entropy terms
+over that sorted list, largest first. A vector that fits one window is not
+sorted (the sort would cost more than it saves) and is summed in its own
+order.
 """
 
 from __future__ import annotations
@@ -51,11 +57,14 @@ from typing import Iterator, Sequence
 from .errors import (
     AllImpossible,
     EmptyInput,
+    EquivarError,
     LabelLengthMismatch,
     NegativeProbability,
     NonFinite,
+    NonNumericProbability,
     ProbabilityAboveOne,
     SumExceedsOne,
+    ValidationFailure,
 )
 
 __all__ = [
@@ -122,13 +131,31 @@ class _Record:
         return type(self), self._values()
 
 
+def _first_non_number(values) -> EquivarError:
+    """The error for probabilities that float() cannot all read, naming the first."""
+    try:
+        for i, value in enumerate(values):
+            try:
+                float(value)
+            except OverflowError:
+                return NonNumericProbability(f"probability {i} is past the float range")
+            except (TypeError, ValueError):
+                return NonNumericProbability(f"probability {i} is not a number: {value!r}")
+    except TypeError:  # not iterable
+        pass
+    return ValidationFailure(f"probabilities must be an iterable of numbers, got {values!r}")
+
+
 class Distribution(_Record):
     """Validated, immutable vector of outcome probabilities with optional labels.
 
     Raises a :class:`~equivar.errors.ValidationFailure` subclass at
     construction when any invariant is violated: at least one outcome, every
     probability finite and in [0, 1], the total at most 1 + TOL_SUM, and
-    labels (when given) matching the probabilities in count.
+    labels (when given) matching the probabilities in count. A probability
+    that ``float()`` cannot read raises
+    :class:`~equivar.errors.NonNumericProbability` naming its index, as the
+    file readers do.
     """
 
     __slots__ = ("probs", "labels")
@@ -141,10 +168,16 @@ class Distribution(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        probs = tuple(map(float, self.probs))
+        try:
+            probs = tuple(map(float, self.probs))
+        except (TypeError, ValueError, OverflowError):
+            raise _first_non_number(self.probs) from None
         object.__setattr__(self, "probs", probs)
         if self.labels is not None:
-            labels = tuple(str(lab) for lab in self.labels)
+            try:
+                labels = tuple(map(str, self.labels))
+            except TypeError:
+                raise ValidationFailure(f"labels must be iterable, got {self.labels!r}") from None
             object.__setattr__(self, "labels", labels)
         if len(probs) == 0:
             raise EmptyInput("a distribution needs at least one outcome")
@@ -232,11 +265,14 @@ def _scaled_sums(values: Sequence[float], q: int) -> tuple[int, int]:
     return sum(ks), sum(map(mul, ks, ks))
 
 
-def _moments(probs: Sequence[float]) -> tuple[int, int, int]:
+def _moments(probs: Sequence[float]) -> tuple[int, int, int, Sequence[float]]:
     """Exact sums of the probabilities and of their squares, as integers.
 
-    Returns ``(s, s2, b)`` with sum(p) == s / 2**b and sum(p**2) ==
-    s2 / 2**(2*b) exactly; ``(0, 0, 0)`` when every probability is zero.
+    Returns ``(s, s2, b, nonzero)`` with sum(p) == s / 2**b and sum(p**2) ==
+    s2 / 2**(2*b) exactly; ``(0, 0, 0, [])`` when every probability is zero.
+    ``nonzero`` holds the non-zero values that were summed: in their given
+    order when one window holds them all, and largest first when they were
+    sorted into windows, so :func:`analyze` reuses that sort for entropy.
     Takes any finite non-negative floats; b < 0 only when every non-zero
     value is at least 2**53.
 
@@ -254,13 +290,13 @@ def _moments(probs: Sequence[float]) -> tuple[int, int, int]:
         # Zeros add nothing to either sum: drop them once.
         probs = list(filter(None, probs))
         if not probs:
-            return 0, 0, 0
+            return 0, 0, 0, probs
         lo = min(probs)
     hi = max(probs)
     q = _ulp_exponent(lo)
     if math.frexp(hi)[1] <= q + 53 + W:
         s, s2 = _scaled_sums(probs, q)
-        return s, s2, -q
+        return s, s2, -q, probs
     xs = sorted(probs)
     q0 = q
     s = s2 = 0
@@ -273,7 +309,8 @@ def _moments(probs: Sequence[float]) -> tuple[int, int, int]:
         s += ws << (q - q0)
         s2 += ws2 << 2 * (q - q0)
         i = j
-    return s, s2, -q0
+    xs.reverse()
+    return s, s2, -q0, xs
 
 
 def _divide(num: int, den: int) -> float:
@@ -309,7 +346,7 @@ def total_probability(dist: Distribution) -> float:
 
 def mean_probability(dist: Distribution) -> float:
     """Arithmetic mean of the N probabilities, total / N."""
-    s, _, b = _moments(dist.probs)
+    s, _, b, _ = _moments(dist.probs)
     return s / (dist.n << b)
 
 
@@ -319,7 +356,7 @@ def variance(dist: Distribution) -> float:
     Exact evaluation keeps the result non-negative by construction, so no
     round-off clamp is needed.
     """
-    s, s2, b = _moments(dist.probs)
+    s, s2, b, _ = _moments(dist.probs)
     n = dist.n
     return (n * s2 - s * s) / (n * n << 2 * b)
 
@@ -330,7 +367,7 @@ def reference_variance(dist: Distribution) -> float:
     Reached in the limit where one probability carries the whole total and
     the rest vanish: p_total^2 * (N - 1) / N^2.
     """
-    s, _, b = _moments(dist.probs)
+    s, _, b, _ = _moments(dist.probs)
     n = dist.n
     return s * s * (n - 1) / (n * n << 2 * b)
 
@@ -344,7 +381,7 @@ def coefficient_of_variation(dist: Distribution) -> float:
 
     Raises AllImpossible when every probability is zero (zero mean).
     """
-    s, s2, _ = _moments(dist.probs)
+    s, s2, _, _ = _moments(dist.probs)
     if s == 0:
         raise AllImpossible("coefficient of variation undefined: zero mean")
     return math.sqrt((dist.n * s2 - s * s) / (s * s))
@@ -355,7 +392,7 @@ def relative_cv(dist: Distribution) -> float:
 
     A singleton cannot vary, so N = 1 returns 0 (the 0/0 limit).
     """
-    s, s2, _ = _moments(dist.probs)
+    s, s2, _, _ = _moments(dist.probs)
     if s == 0:
         raise AllImpossible("relative cv undefined: zero mean")
     n = dist.n
@@ -364,13 +401,23 @@ def relative_cv(dist: Distribution) -> float:
     return math.sqrt((n * s2 - s * s) / ((n - 1) * s * s))
 
 
+def _entropy(nonzero: Sequence[float]) -> float:
+    """-sum(p * log2 p) over non-zero probabilities, in bits.
+
+    fsum rounds the exact sum of its terms correctly, so the order of the
+    values changes no bit, only the time: fsum carries fewer partials when
+    the terms come largest first.
+    """
+    h = -math.fsum(map(mul, nonzero, map(math.log2, nonzero)))
+    return h + 0.0  # normalize -0.0 from the all-certain case
+
+
 def shannon_entropy(dist: Distribution) -> float:
     """Shannon entropy -sum(p * log2 p) in bits, with 0 * log 0 = 0."""
     probs = dist.probs
     if 0.0 in probs:
         probs = tuple(filter(None, probs))
-    h = -math.fsum(map(mul, probs, map(math.log2, probs)))
-    return h + 0.0  # normalize -0.0 from the all-certain case
+    return _entropy(probs)
 
 
 def renyi1_entropy(dist: Distribution) -> float:
@@ -417,7 +464,7 @@ def equivalent_number_g(dist: Distribution) -> float:
     :func:`coefficient_of_variation` roots; in [1, N] whenever CV is within
     its bounds.
     """
-    s, s2, _ = _moments(dist.probs)
+    s, s2, _, _ = _moments(dist.probs)
     if s == 0:
         raise AllImpossible("equivalent number G undefined: zero mean")
     return dist.n * s2 / (s * s)
@@ -429,7 +476,7 @@ def equivalent_number_d(dist: Distribution) -> float:
     The inverse Simpson index. In [1, N] for complete vectors; may exceed N
     for incomplete ones. Raises AllImpossible when every probability is zero.
     """
-    _, s2, b = _moments(dist.probs)
+    _, s2, b, _ = _moments(dist.probs)
     if s2 == 0:
         raise AllImpossible("equivalent number D undefined: all outcomes impossible")
     return _divide(1 << 2 * b, s2)
@@ -447,7 +494,7 @@ def duality_check(dist: Distribution) -> tuple[float, float]:
     identity is checked on the exact ratio instead.
     """
     n = dist.n
-    s, s2, b = _moments(dist.probs)
+    s, s2, b, _ = _moments(dist.probs)
     if s == 0:
         raise AllImpossible("duality undefined: zero total probability")
     d, g, rhs, residual = _duality(n, s, s2, b)
@@ -466,7 +513,7 @@ def analyze(dist: Distribution) -> IndicatorReport:
     mean-relative indicators are undefined there.
     """
     n = dist.n
-    s, s2, b = _moments(dist.probs)
+    s, s2, b, nonzero = _moments(dist.probs)
     if s == 0:
         raise AllImpossible("indicators undefined: zero total probability")
 
@@ -477,7 +524,7 @@ def analyze(dist: Distribution) -> IndicatorReport:
     cv = math.sqrt(spread / ss)
     cv_rel = 0.0 if n == 1 else math.sqrt(spread / ((n - 1) * ss))
 
-    h_bits = shannon_entropy(dist) / p_total
+    h_bits = _entropy(nonzero) / p_total
     h_rel = 0.0 if n == 1 else h_bits / math.log2(n)
     try:
         f = 2.0 ** h_bits

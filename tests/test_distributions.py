@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equivar import (
+    Distribution,
     analyze,
     binomial,
     coefficient_of_variation,
@@ -23,8 +24,10 @@ from equivar.errors import (
     AllZeroCounts,
     EmptyInput,
     IndexOutOfRange,
+    NonNumericProbability,
     ParameterOutOfRange,
     SumExceedsOne,
+    ValidationFailure,
     ZeroSize,
 )
 from equivar import distributions
@@ -86,12 +89,43 @@ def test_from_counts():
         from_counts((math.inf, 2))
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: from_probabilities(["x"]), NonNumericProbability,
+         "probability 0 is not a number: 'x'"),
+        (lambda: from_probabilities([0.5, None]), NonNumericProbability,
+         "probability 1 is not a number: None"),
+        (lambda: from_probabilities([1 + 0j]), NonNumericProbability,
+         "probability 0 is not a number: (1+0j)"),
+        (lambda: from_probabilities([0.5, 10**400]), NonNumericProbability,
+         "probability 1 is past the float range"),
+        (lambda: from_counts([None, 1]), ParameterOutOfRange,
+         "count 0 is None, need a non-negative integer"),
+        (lambda: Distribution((0.5, 0.5), labels=5), ValidationFailure,
+         "labels must be iterable, got 5"),
+        (lambda: from_probabilities((0.5, 0.5), labels=5), ValidationFailure,
+         "labels must be iterable, got 5"),
+        (lambda: Distribution(0.5), ValidationFailure,
+         "probabilities must be an iterable of numbers, got 0.5"),
+    ],
+    ids=["string", "none", "complex", "huge-int", "none-count", "labels", "labels-via-from",
+         "scalar"],
+)
+def test_non_numeric_input_raises_a_typed_error(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_uniform():
     assert uniform(2).probs == (0.5, 0.5)
     assert uniform(6).probs == (1 / 6,) * 6
     assert uniform(1).probs == (1.0,)
     with pytest.raises(ZeroSize):
         uniform(0)
+    with pytest.raises(ParameterOutOfRange, match=r"^need an integer n, got 2\.5$"):
+        uniform(2.5)
 
 
 def test_degenerate():
@@ -105,6 +139,11 @@ def test_degenerate():
         degenerate(0, 0)
     with pytest.raises(IndexOutOfRange):
         degenerate(3, 3)
+    with pytest.raises(IndexOutOfRange, match=r"^need an integer sure_index, got 1\.5$"):
+        degenerate(3, 1.5)
+    with pytest.raises(ParameterOutOfRange, match=r"^need an integer n, got 2\.5$"):
+        degenerate(2.5)
+    assert degenerate(3, True).probs == (0.0, 1.0, 0.0)  # anything operator.index takes
 
 
 # ----------------------------------------------------------------------
@@ -130,6 +169,8 @@ def test_binomial_endpoints_are_exact():
 def test_binomial_rejects_bad_parameters():
     with pytest.raises(ZeroSize):
         binomial(0, 0.5)
+    with pytest.raises(ParameterOutOfRange, match=r"^need an integer n, got 2\.5$"):
+        binomial(2.5, 0.5)
     for bad in (-0.1, 1.1, float("nan")):
         with pytest.raises(ParameterOutOfRange):
             binomial(5, bad)
@@ -167,6 +208,8 @@ def test_central_binomial_equivalent_number_d(n):
 @example(1029, 0.0)
 @example(1029, 1.0)
 @example(1, 0.5)
+@example(7, -0.0)  # odd-k terms are -0.0, as in 0.1.0
+@example(1029, -0.0)
 @settings(max_examples=150, deadline=None)
 def test_binomial_bits_match_per_term_comb(n, p):
     # Every coefficient of n <= 1029 fits a float, so the running
@@ -194,6 +237,13 @@ def test_binomial_large_n_terms_within_4_ulp(n, p):
         if g >= top / 2**52:
             err = ulps_off(g, n, k, p, 1.0 - p)
             assert err <= 4, (n, p, k, err)
+
+
+@pytest.mark.parametrize("n", [1, 1100, 2000])
+def test_binomial_endpoints_are_one_sure_outcome_bit_for_bit(n):
+    sure_first = (1.0,) + (0.0,) * n
+    assert _hex(binomial(n, 0.0).probs) == _hex(sure_first)
+    assert _hex(binomial(n, 1.0).probs) == _hex(sure_first[::-1])
 
 
 def test_binomial_large_n_sums_to_one_across_grid():
@@ -245,6 +295,10 @@ def test_sweep_entropy_monotone_in_n_at_half():
 def test_sweep_rejects_bad_steps():
     with pytest.raises(ParameterOutOfRange):
         sweep_binomial((1, 2), 1)
+    with pytest.raises(ParameterOutOfRange, match=r"^need an integer p_steps, got 3\.0$"):
+        sweep_binomial((1, 2), 3.0)
+    with pytest.raises(ParameterOutOfRange, match=r"^need an integer n, got 2\.5$"):
+        sweep_binomial((2.5,), 3)
     with pytest.raises(ZeroSize):
         sweep_binomial((0,), 3)
 

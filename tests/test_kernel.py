@@ -6,7 +6,9 @@ each field rounded once by ``float(Fraction)``. The package now computes the
 same rationals as scaled integers, so every field must match in every bit,
 the sign of zero included, and every zero-mass vector must raise the same
 exception type. Entropy and validation are held to 0.1.0's per-value loops
-the same way: the same bits, the same error type and message.
+the same way: the same bits, the same error type and message. The reports
+are checked against an entropy of their own (0.1.0's term loop), not the
+package's, since ``analyze`` sums the terms in another order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from equivar import (
     Distribution,
     IndicatorReport,
     analyze,
+    binomial,
     coefficient_of_variation,
     duality_check,
     equivalent_number_d,
@@ -137,6 +140,11 @@ def ref_duality_check(dist):
     return product, max(residual, log_residual)
 
 
+def ref_shannon_entropy(probs):
+    """0.1.0's entropy: the terms summed by fsum, with 0 log 0 = 0."""
+    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0) + 0.0
+
+
 def ref_analyze(dist):
     n = dist.n
     s, s2 = _exact_sums(dist.probs)
@@ -148,7 +156,7 @@ def ref_analyze(dist):
     cv = math.sqrt(float(cv2))
     cv_rel = 0.0 if n == 1 else math.sqrt(float(cv2 / (n - 1)))
 
-    h_bits = shannon_entropy(dist) / p_total
+    h_bits = ref_shannon_entropy(dist.probs) / p_total
     h_rel = 0.0 if n == 1 else h_bits / math.log2(n)
     try:
         f = 2.0**h_bits
@@ -291,8 +299,20 @@ def rearranged(draw):
 @example([2.5e-309, 1e-300, 1e-250])  # subnormal low end, two windows
 @example([-0.0, 0.5, 0.25, -0.0])
 @example([-0.0])
+# Wide vectors: the kernel sorts them, and analyze sums entropy over that order.
+@example([0.6, 0.3, 1e-30, 1e-300])  # a value above 1/e, where |p log2 p| peaks
+@example([0.0, 1e-200, 0.5, 0.0, 0.25, 1e-40, 0.0])  # zero-padded
+@example([0.7, 5e-324, 1e-310, 0.2, 2.5e-309])  # subnormal low end
 def test_every_field_and_view_is_bit_identical_to_fraction_path(probs):
     assert_bit_identical(probs)
+
+
+@pytest.mark.parametrize("n", [60, 500, 1029, 1100])
+@pytest.mark.parametrize("p", [0.01, 0.25, 0.5, 0.93])
+def test_binomial_reports_are_bit_identical_to_fraction_path(n, p):
+    # Most of these pmfs span more binary orders than one window holds.
+    dist = binomial(n, p)
+    assert _bits(analyze(dist)) == _bits(ref_analyze(dist))
 
 
 # any non-negative finite float: the kernel's own domain, wider than [0, 1]
@@ -308,15 +328,13 @@ anywhere = st.floats(0.0, allow_infinity=False, allow_subnormal=True) | st.build
 @example([5e-324] * 3)
 @example([0.0, -0.0])
 def test_moments_are_the_exact_sums(values):
-    s, s2, b = _moments(values)
+    s, s2, b, nonzero = _moments(values)
     scale = Fraction(2) ** b  # b < 0 when every non-zero value is >= 2**53
     assert s / scale == sum(map(Fraction, values))
     assert s2 / scale**2 == sum(Fraction(v) ** 2 for v in values)
-
-
-def ref_shannon_entropy(probs):
-    """0.1.0's entropy: the terms summed by fsum, with 0 log 0 = 0."""
-    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0) + 0.0
+    # The values summed: in the given order, or largest first when sorted.
+    given = [v for v in values if v]
+    assert list(nonzero) in (given, sorted(given, reverse=True))
 
 
 @given(rearranged())
