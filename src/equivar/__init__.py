@@ -10,93 +10,18 @@ Monte-Carlo/cross-path validators, and a CLI front end.
 
 __version__ = "0.1.0"
 
-from . import errors
-from .indicators import (
-    Distribution,
-    IndicatorReport,
-    analyze,
-    average_number_f,
-    coefficient_of_variation,
-    duality_check,
-    equivalent_number_d,
-    equivalent_number_g,
-    mean_probability,
-    reference_variance,
-    relative_cv,
-    relative_entropy_h,
-    renyi1_entropy,
-    shannon_entropy,
-    total_probability,
-    variance,
-)
-from .distributions import (
-    SweepPoint,
-    binomial,
-    degenerate,
-    from_counts,
-    from_probabilities,
-    sweep_binomial,
-    uniform,
-)
-from .oracle import (
-    OracleResult,
-    cross_check_report,
-    mc_max_variance,
-    sample_simplex,
-    verify_sum_squares_bounds,
-)
-from .waveclimate import (
-    AreaIndicatorReport,
-    AreaRecord,
-    area_report,
-    chart_data,
-    find_area,
-    format_area_table,
-    parse_area_table,
-    rank_areas,
-    rose_data,
-    sample_table_path,
-)
+# Each module's __all__ decides what it makes public; the package re-exports them.
+from . import distributions, errors, indicators, oracle, waveclimate
+from .indicators import *
+from .distributions import *
+from .oracle import *
+from .waveclimate import *
 
 __all__ = [
     "__version__",
     "errors",
-    "Distribution",
-    "IndicatorReport",
-    "analyze",
-    "average_number_f",
-    "coefficient_of_variation",
-    "duality_check",
-    "equivalent_number_d",
-    "equivalent_number_g",
-    "mean_probability",
-    "reference_variance",
-    "relative_cv",
-    "relative_entropy_h",
-    "renyi1_entropy",
-    "shannon_entropy",
-    "total_probability",
-    "variance",
-    "SweepPoint",
-    "binomial",
-    "degenerate",
-    "from_counts",
-    "from_probabilities",
-    "sweep_binomial",
-    "uniform",
-    "OracleResult",
-    "cross_check_report",
-    "mc_max_variance",
-    "sample_simplex",
-    "verify_sum_squares_bounds",
-    "AreaIndicatorReport",
-    "AreaRecord",
-    "area_report",
-    "chart_data",
-    "find_area",
-    "format_area_table",
-    "parse_area_table",
-    "rank_areas",
-    "rose_data",
-    "sample_table_path",
+    *indicators.__all__,
+    *distributions.__all__,
+    *oracle.__all__,
+    *waveclimate.__all__,
 ]

@@ -45,7 +45,11 @@ def from_probabilities(
     values: Iterable[float], labels: Sequence[str] | None = None
 ) -> Distribution:
     """Build a validated Distribution from explicit probabilities."""
-    return Distribution(tuple(values), labels)
+    try:
+        values = tuple(values)  # read a generator once, so an error can name its index
+    except TypeError:
+        pass  # not iterable: Distribution raises its ValidationFailure
+    return Distribution(values, labels)
 
 
 def from_counts(counts: Sequence[int]) -> Distribution:
@@ -176,7 +180,11 @@ def binomial(n: int, p: float) -> Distribution:
     n = _integer(n, "n", ParameterOutOfRange)
     if n < 1:
         raise ZeroSize(f"need n >= 1, got {n}")
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+    try:
+        valid = math.isfinite(p) and 0.0 <= p <= 1.0
+    except TypeError:  # not a real number
+        valid = False
+    if not valid:
         raise ParameterOutOfRange(f"need 0 <= p <= 1, got {p!r}")
     if p == 1.0 or (p == 0.0 and math.copysign(1.0, p) > 0.0):
         return degenerate(n + 1, n if p else 0)
@@ -203,6 +211,10 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     p_steps = _integer(p_steps, "p_steps", ParameterOutOfRange)
     if p_steps < 2:
         raise ParameterOutOfRange(f"need p_steps >= 2, got {p_steps}")
+    try:
+        ns = list(ns)
+    except TypeError:
+        raise ParameterOutOfRange(f"need an iterable of trial counts, got {ns!r}") from None
     steps = p_steps - 1
     grid = [i / steps for i in range(p_steps)]
     return [

@@ -20,6 +20,12 @@ indicators fall into two families:
 D and G are tied together by the duality D * G = N / p_total**2, which
 every report carries as a computed residual.
 
+Each formula is written once, in :func:`analyze`. The scalar functions for
+CV, cv, H, H_rel, F, G and D return one field of its report (the same bits)
+and, like it, raise AllImpossible on an all-zero vector. The total, mean,
+variance, reference variance and Shannon entropy are computed apart and
+are 0.0 there; duality_check adds a log-form check the report lacks.
+
 Numerical contract: the algebraic indicators (sums, variance, CV, D, G)
 are evaluated in exact rational arithmetic (every float is an exact binary
 rational) and rounded to float once on return. The exact sums sum(p) and
@@ -375,30 +381,15 @@ def reference_variance(dist: Distribution) -> float:
 def coefficient_of_variation(dist: Distribution) -> float:
     """Standard deviation of the probabilities divided by their mean.
 
-    Computed through the closed form sqrt(N * sum(p^2) / p_total^2 - 1) in
-    exact arithmetic; scale-invariant, 0 for uniform vectors and
-    sqrt(N - 1) when a single outcome carries everything.
-
-    Raises AllImpossible when every probability is zero (zero mean).
+    sqrt(N * sum(p^2) / p_total^2 - 1): scale-invariant, 0 for uniform
+    vectors and sqrt(N - 1) when a single outcome carries everything.
     """
-    s, s2, _, _ = _moments(dist.probs)
-    if s == 0:
-        raise AllImpossible("coefficient of variation undefined: zero mean")
-    return math.sqrt((dist.n * s2 - s * s) / (s * s))
+    return analyze(dist).cv
 
 
 def relative_cv(dist: Distribution) -> float:
-    """CV normalized by its maximum sqrt(N - 1); lies in [0, 1].
-
-    A singleton cannot vary, so N = 1 returns 0 (the 0/0 limit).
-    """
-    s, s2, _, _ = _moments(dist.probs)
-    if s == 0:
-        raise AllImpossible("relative cv undefined: zero mean")
-    n = dist.n
-    if n == 1:
-        return 0.0
-    return math.sqrt((n * s2 - s * s) / ((n - 1) * s * s))
+    """CV normalized by its maximum sqrt(N - 1); lies in [0, 1], and 0 for N = 1."""
+    return analyze(dist).cv_rel
 
 
 def _entropy(nonzero: Sequence[float]) -> float:
@@ -427,59 +418,39 @@ def renyi1_entropy(dist: Distribution) -> float:
     ones it rescales the uncertainty to the observed mass, and is the entropy
     used in reports.
     """
-    pt = total_probability(dist)
-    if pt == 0.0:
-        raise AllImpossible("entropy rate undefined: zero total probability")
-    return shannon_entropy(dist) / pt
+    return analyze(dist).entropy_bits
 
 
 def relative_entropy_h(dist: Distribution) -> float:
-    """Entropy relative to its complete-vector maximum log2 N.
+    """Entropy relative to its complete-vector maximum log2 N, and 0 for N = 1.
 
     In [0, 1] for complete vectors; incomplete ones may exceed 1, exactly as
-    their F may exceed N. N = 1 returns 0 (the 0/0 limit).
+    their F may exceed N.
     """
-    h = renyi1_entropy(dist)  # raises AllImpossible on zero mass
-    if dist.n == 1:
-        return 0.0
-    return h / math.log2(dist.n)
+    return analyze(dist).entropy_rel
 
 
 def average_number_f(dist: Distribution) -> float:
     """Equally-probable event count with the same uncertainty: F = 2**H.
 
-    Independent of the logarithm base used for H. Lies in [1, N] for
-    complete vectors; may exceed N for incomplete ones.
+    Independent of the logarithm base used for H. In [1, N] for complete
+    vectors; may exceed N for incomplete ones.
     """
-    try:
-        return 2.0 ** renyi1_entropy(dist)
-    except OverflowError:
-        return math.inf
+    return analyze(dist).avg_number_f
 
 
 def equivalent_number_g(dist: Distribution) -> float:
-    """Size of a one-sure-rest-impossible vector with the same variability.
-
-    G = CV^2 + 1, taken from the same exact CV^2 value that
-    :func:`coefficient_of_variation` roots; in [1, N] whenever CV is within
-    its bounds.
-    """
-    s, s2, _, _ = _moments(dist.probs)
-    if s == 0:
-        raise AllImpossible("equivalent number G undefined: zero mean")
-    return dist.n * s2 / (s * s)
+    """Size of a one-sure-rest-impossible vector with the same variability: CV^2 + 1."""
+    return analyze(dist).equiv_number_g
 
 
 def equivalent_number_d(dist: Distribution) -> float:
     """Equally-probable outcome count with the same invariability: 1 / sum(p^2).
 
     The inverse Simpson index. In [1, N] for complete vectors; may exceed N
-    for incomplete ones. Raises AllImpossible when every probability is zero.
+    for incomplete ones.
     """
-    _, s2, b, _ = _moments(dist.probs)
-    if s2 == 0:
-        raise AllImpossible("equivalent number D undefined: all outcomes impossible")
-    return _divide(1 << 2 * b, s2)
+    return analyze(dist).equiv_number_d
 
 
 def duality_check(dist: Distribution) -> tuple[float, float]:

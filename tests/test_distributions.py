@@ -108,9 +108,15 @@ def test_from_counts():
          "labels must be iterable, got 5"),
         (lambda: Distribution(0.5), ValidationFailure,
          "probabilities must be an iterable of numbers, got 0.5"),
+        (lambda: from_probabilities(5), ValidationFailure,
+         "probabilities must be an iterable of numbers, got 5"),
+        (lambda: from_probabilities(p for p in [0.5, "x"]), NonNumericProbability,
+         "probability 1 is not a number: 'x'"),
+        (lambda: sweep_binomial(5, 3), ParameterOutOfRange,
+         "need an iterable of trial counts, got 5"),
     ],
     ids=["string", "none", "complex", "huge-int", "none-count", "labels", "labels-via-from",
-         "scalar"],
+         "scalar", "scalar-via-from", "generator", "scalar-ns"],
 )
 def test_non_numeric_input_raises_a_typed_error(make, error, message):
     with pytest.raises(error) as info:
@@ -171,8 +177,8 @@ def test_binomial_rejects_bad_parameters():
         binomial(0, 0.5)
     with pytest.raises(ParameterOutOfRange, match=r"^need an integer n, got 2\.5$"):
         binomial(2.5, 0.5)
-    for bad in (-0.1, 1.1, float("nan")):
-        with pytest.raises(ParameterOutOfRange):
+    for bad in (-0.1, 1.1, float("nan"), "0.5", None, 1j):
+        with pytest.raises(ParameterOutOfRange, match=r"^need 0 <= p <= 1, got "):
             binomial(5, bad)
 
 

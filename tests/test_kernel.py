@@ -8,7 +8,9 @@ the sign of zero included, and every zero-mass vector must raise the same
 exception type. Entropy and validation are held to 0.1.0's per-value loops
 the same way: the same bits, the same error type and message. The reports
 are checked against an entropy of their own (0.1.0's term loop), not the
-package's, since ``analyze`` sums the terms in another order.
+package's, since ``analyze`` sums the terms in another order; so are the
+entropy views (Renyi-1, relative entropy, F) and the total probability,
+each against its 0.1.0 formula.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from equivar import (
     Distribution,
     IndicatorReport,
     analyze,
+    average_number_f,
     binomial,
     coefficient_of_variation,
     duality_check,
@@ -33,7 +36,10 @@ from equivar import (
     mean_probability,
     reference_variance,
     relative_cv,
+    relative_entropy_h,
+    renyi1_entropy,
     shannon_entropy,
+    total_probability,
     variance,
 )
 from equivar.errors import (
@@ -145,6 +151,31 @@ def ref_shannon_entropy(probs):
     return -math.fsum(p * math.log2(p) for p in probs if p > 0.0) + 0.0
 
 
+def ref_total_probability(dist):
+    return math.fsum(dist.probs)
+
+
+def ref_renyi1_entropy(dist):
+    pt = math.fsum(dist.probs)
+    if pt == 0.0:
+        raise AllImpossible("zero total probability")
+    return ref_shannon_entropy(dist.probs) / pt
+
+
+def ref_relative_entropy_h(dist):
+    h = ref_renyi1_entropy(dist)
+    if dist.n == 1:
+        return 0.0
+    return h / math.log2(dist.n)
+
+
+def ref_average_number_f(dist):
+    try:
+        return 2.0 ** ref_renyi1_entropy(dist)
+    except OverflowError:
+        return math.inf
+
+
 def ref_analyze(dist):
     n = dist.n
     s, s2 = _exact_sums(dist.probs)
@@ -198,6 +229,10 @@ PAIRS = [
     (relative_cv, ref_relative_cv),
     (equivalent_number_g, ref_equivalent_number_g),
     (equivalent_number_d, ref_equivalent_number_d),
+    (total_probability, ref_total_probability),
+    (renyi1_entropy, ref_renyi1_entropy),
+    (relative_entropy_h, ref_relative_entropy_h),
+    (average_number_f, ref_average_number_f),
 ]
 
 
