@@ -24,6 +24,8 @@ from .oracle import cross_check_report, mc_max_variance, verify_sum_squares_boun
 from .waveclimate import (
     DIRECTION_LABELS,
     RANK_KEYS,
+    ChartRow,
+    _csv_number,
     area_report,
     chart_data,
     find_area,
@@ -51,11 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    """Fixed 12-significant-digit formatting for CSV cells."""
-    return format(x, ".12g")
-
-
 def _utc_now() -> str:
     # Imported here: most calls pass --no-timestamp and never need it.
     from datetime import datetime, timezone
@@ -63,19 +60,11 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _envelope(command: str, payload, no_timestamp: bool) -> dict:
-    env = {"tool_version": __version__, "command": command}
+def _metadata(command: str, no_timestamp: bool) -> dict:
+    meta = {"tool_version": __version__, "command": command}
     if not no_timestamp:
-        env["generated_at"] = _utc_now()
-    env["payload"] = payload
-    return env
-
-
-def _csv_comments(command: str, no_timestamp: bool) -> list[str]:
-    lines = [f"# tool_version: {__version__}", f"# command: {command}"]
-    if not no_timestamp:
-        lines.append(f"# generated_at: {_utc_now()}")
-    return lines
+        meta["generated_at"] = _utc_now()
+    return meta
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -102,7 +91,7 @@ def _nonfinite_as_strings(obj):
 def _write_json(path: str | None, command: str, payload, no_timestamp: bool) -> None:
     # Strict JSON has no infinity or NaN; such fields become the strings
     # "Infinity", "-Infinity" and "NaN".
-    doc = _nonfinite_as_strings(_envelope(command, payload, no_timestamp))
+    doc = _nonfinite_as_strings({**_metadata(command, no_timestamp), "payload": payload})
     _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
@@ -110,11 +99,22 @@ def _write_csv(
     path: str | None,
     command: str,
     header: str,
-    rows: Sequence[str],
+    rows: Sequence[tuple],
     no_timestamp: bool,
 ) -> None:
-    lines = _csv_comments(command, no_timestamp) + [header] + list(rows)
+    # The one place a CSV cell is formatted: floats to 12 significant digits.
+    lines = [f"# {key}: {value}" for key, value in _metadata(command, no_timestamp).items()]
+    lines.append(header)
+    lines += [
+        ",".join([format(cell, ".12g") if isinstance(cell, float) else str(cell) for cell in row])
+        for row in rows
+    ]
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def probability(text: str) -> float:
+    """A --probs value, read as a CSV cell is: ASCII, no ``_``, what ``float()`` takes."""
+    return _csv_number(text, "--probs", None)
 
 
 def _read_input(path: str) -> bytes:
@@ -149,21 +149,10 @@ def _cmd_binomial_sweep(args) -> int:
         raise _UsageError("--n entries must be >= 1")
     if args.p_steps < 2:
         raise _UsageError("--p-steps must be >= 2")
-    points = sweep_binomial(ns, args.p_steps)
     rows = [
-        ",".join(
-            [
-                str(pt.n),
-                _fmt(pt.p),
-                _fmt(pt.report.cv),
-                _fmt(pt.report.cv_rel),
-                _fmt(pt.report.entropy_bits),
-                _fmt(pt.report.avg_number_f),
-                _fmt(pt.report.equiv_number_d),
-                _fmt(pt.report.equiv_number_g),
-            ]
-        )
-        for pt in points
+        (pt.n, pt.p, pt.report.cv, pt.report.cv_rel, pt.report.entropy_bits,
+         pt.report.avg_number_f, pt.report.equiv_number_d, pt.report.equiv_number_g)
+        for pt in sweep_binomial(ns, args.p_steps)
     ]
     _write_csv(
         args.output,
@@ -184,25 +173,11 @@ def _cmd_gws(args) -> int:
         args.report, "gws", [ar.to_dict() for ar in ranked], args.no_timestamp
     )
     if args.chart is not None:
-        rows = [
-            ",".join(
-                [
-                    row.area_id,
-                    _fmt(row.p_total),
-                    _fmt(row.cv_rel),
-                    _fmt(row.h_rel),
-                    _fmt(row.d),
-                    _fmt(row.f),
-                    _fmt(row.g),
-                ]
-            )
-            for row in chart_data(reports)
-        ]
         _write_csv(
             args.chart,
             "gws",
-            "area_id,p_total,cv_rel,h_rel,d,f,g",
-            rows,
+            ",".join(ChartRow._fields),
+            chart_data(reports),
             args.no_timestamp,
         )
     return EXIT_OK
@@ -211,10 +186,7 @@ def _cmd_gws(args) -> int:
 def _cmd_rose(args) -> int:
     records = parse_area_table(_read_input(args.input), "csv")
     record = find_area(records, args.area)
-    rows = [
-        f"{_fmt(bearing)},{label},{_fmt(prob)}"
-        for (bearing, prob), label in zip(rose_data(record), DIRECTION_LABELS)
-    ]
+    rows = [(deg, label, p) for (deg, p), label in zip(rose_data(record), DIRECTION_LABELS)]
     _write_csv(
         args.output, "rose", "bearing_deg,direction,probability", rows, args.no_timestamp
     )
@@ -278,7 +250,7 @@ def build_parser() -> _Parser:
             "--probs flags or as a file (--input with --format)."
         ),
     )
-    p.add_argument("--probs", type=float, action="append", metavar="P",
+    p.add_argument("--probs", type=probability, action="append", metavar="P",
                    help="one outcome probability; repeat per outcome")
     p.add_argument("--input", metavar="FILE",
                    help="read the vector from FILE instead of --probs")
@@ -363,7 +335,7 @@ def build_parser() -> _Parser:
                    help="Monte-Carlo sample count (default 100000)")
     p.add_argument("--seed", type=int, default=0, metavar="S",
                    help="random seed, recorded in the result (default 0)")
-    p.add_argument("--probs", type=float, action="append", metavar="P",
+    p.add_argument("--probs", type=probability, action="append", metavar="P",
                    help="one outcome probability; repeat per outcome (bounds/cross)")
     p.add_argument("--output", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=_cmd_oracle)

@@ -45,16 +45,15 @@ def from_probabilities(
     values: Iterable[float], labels: Sequence[str] | None = None
 ) -> Distribution:
     """Build a validated Distribution from explicit probabilities."""
-    try:
-        values = tuple(values)  # read a generator once, so an error can name its index
-    except TypeError:
-        pass  # not iterable: Distribution raises its ValidationFailure
     return Distribution(values, labels)
 
 
 def from_counts(counts: Sequence[int]) -> Distribution:
     """Turn observation tallies into a complete distribution count_i / total."""
-    counts = list(counts)
+    try:
+        counts = list(counts)
+    except TypeError:
+        raise ParameterOutOfRange(f"need an iterable of counts, got {counts!r}") from None
     if not counts:
         raise EmptyInput("no counts given")
     for i, c in enumerate(counts):

@@ -137,19 +137,16 @@ class _Record:
         return type(self), self._values()
 
 
-def _first_non_number(values) -> EquivarError:
+def _first_non_number(values: tuple) -> EquivarError:
     """The error for probabilities that float() cannot all read, naming the first."""
-    try:
-        for i, value in enumerate(values):
-            try:
-                float(value)
-            except OverflowError:
-                return NonNumericProbability(f"probability {i} is past the float range")
-            except (TypeError, ValueError):
-                return NonNumericProbability(f"probability {i} is not a number: {value!r}")
-    except TypeError:  # not iterable
-        pass
-    return ValidationFailure(f"probabilities must be an iterable of numbers, got {values!r}")
+    for i, value in enumerate(values):
+        try:
+            float(value)
+        except OverflowError:
+            return NonNumericProbability(f"probability {i} is past the float range")
+        except (TypeError, ValueError):
+            return NonNumericProbability(f"probability {i} is not a number: {value!r}")
+    return ValidationFailure(f"probabilities must be numbers, got {values!r}")
 
 
 class Distribution(_Record):
@@ -175,9 +172,15 @@ class Distribution(_Record):
 
     def __post_init__(self) -> None:
         try:
-            probs = tuple(map(float, self.probs))
+            values = tuple(self.probs)  # read once: a generator's bad value can be named
+        except TypeError:
+            raise ValidationFailure(
+                f"probabilities must be an iterable of numbers, got {self.probs!r}"
+            ) from None
+        try:
+            probs = tuple(map(float, values))
         except (TypeError, ValueError, OverflowError):
-            raise _first_non_number(self.probs) from None
+            raise _first_non_number(values) from None
         object.__setattr__(self, "probs", probs)
         if self.labels is not None:
             try:
@@ -261,13 +264,10 @@ def _scaled_sums(values: Sequence[float], q: int) -> tuple[int, int]:
     """Exact sums of values * 2**-q and of their squares.
 
     Every value must be an integer multiple of 2**q, so each product is an
-    exact integer. Scaling up loses no bits, and when 2**-q exceeds the
-    float range it is applied in two exact steps.
+    exact integer below 2**(53 + W), which ldexp forms without rounding
+    even where 2**-q itself exceeds the float range.
     """
-    if q < -1023:
-        values = map(mul, values, repeat(2.0**1023))
-        q += 1023
-    ks = list(map(int, map(mul, values, repeat(math.ldexp(1.0, -q)))))
+    ks = list(map(int, map(math.ldexp, values, repeat(-q))))
     return sum(ks), sum(map(mul, ks, ks))
 
 

@@ -13,6 +13,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
+from .distributions import _integer
 from .errors import IncompleteDistribution, ParameterOutOfRange
 from .indicators import TOL_SUM, Distribution, analyze, total_probability
 
@@ -78,12 +79,19 @@ def mc_max_variance(n: int, p_total: float, trials: int, seed: int) -> OracleRes
     cap p_total^2 * (n - 1) / n^2; the residual is the worst overshoot
     beyond it (0 when every sample stayed below, the expected outcome).
     """
+    n = _integer(n, "n", ParameterOutOfRange)
     if n < 2:
         raise ParameterOutOfRange(f"need n >= 2, got {n}")
-    if not (0.0 < p_total <= 1.0):
+    try:
+        valid = 0.0 < p_total <= 1.0
+    except TypeError:  # not a real number
+        valid = False
+    if not valid:
         raise ParameterOutOfRange(f"need 0 < p_total <= 1, got {p_total!r}")
+    trials = _integer(trials, "trials", ParameterOutOfRange)
     if trials < 1:
         raise ParameterOutOfRange(f"need trials >= 1, got {trials}")
+    seed = _integer(seed, "seed", ParameterOutOfRange)
     if seed < 0:
         raise ParameterOutOfRange(f"need seed >= 0, got {seed}")
 

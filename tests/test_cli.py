@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equivar import analyze, cli, errors, sample_table_path, waveclimate
+from equivar import analyze, cli, errors, sample_table_path, sweep_binomial, waveclimate
 from equivar.cli import main
 
 RFC3339 = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
@@ -552,6 +552,55 @@ def test_rose_unknown_area(capsys):
 
 
 # ----------------------------------------------------------------------
+# CSV bytes: each expected text is built from library calls, with str()
+# for integers and 12 significant digits for floats.
+
+
+def _csv_text(command, header, rows):
+    lines = [f"# tool_version: {cli.__version__}", f"# command: {command}", header]
+    lines += [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _g12(x):
+    return format(x, ".12g")
+
+
+def test_sweep_csv_bytes_match_the_library(capsys):
+    ns = [1, 2, 5, 10, 50, 1100]
+    code, out, _ = run(
+        capsys, "binomial-sweep", "--n", ",".join(map(str, ns)), "--p-steps", "11",
+        "--no-timestamp",
+    )
+    rows = [
+        [str(pt.n), *map(_g12, (pt.p, r.cv, r.cv_rel, r.entropy_bits,
+                                r.avg_number_f, r.equiv_number_d, r.equiv_number_g))]
+        for pt in sweep_binomial(ns, 11)
+        for r in [pt.report]
+    ]
+    assert code == 0
+    assert out == _csv_text("binomial-sweep", "n,p,cv,cv_rel,entropy_bits,f,d,g", rows)
+
+
+def test_rose_csv_bytes_match_the_library(capsys):
+    with open(sample_table_path(), "rb") as fh:
+        records = waveclimate.parse_area_table(fh.read())
+    for rec in records:
+        code, out, _ = run(
+            capsys, "rose", "--input", sample_table_path(), "--area", rec.area_id,
+            "--no-timestamp",
+        )
+        rows = [
+            [_g12(bearing), label, _g12(p)]
+            for bearing, label, p in zip(
+                waveclimate.BEARINGS_DEG, waveclimate.DIRECTION_LABELS, rec.directions.probs
+            )
+        ]
+        assert code == 0
+        assert out == _csv_text("rose", "bearing_deg,direction,probability", rows)
+
+
+# ----------------------------------------------------------------------
 # oracle
 
 
@@ -599,6 +648,14 @@ def test_oracle_cross_a64(capsys):
 def test_oracle_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 64
+
+
+@pytest.mark.parametrize("cell", ["0.2_5", "\u0660.\u0665"], ids=["underscore", "arabic-indic-digits"])
+@pytest.mark.parametrize("command", [("analyze",), ("oracle", "--check", "cross")])
+def test_probs_flag_refuses_what_a_csv_cell_refuses(capsys, command, cell):
+    code, out, err = run(capsys, *command, "--probs", cell, "--probs", "0.75")
+    assert code == 64 and out == ""
+    assert err == f"equivar: usage error: argument --probs: invalid probability value: {cell!r}\n"
 
 
 def test_oracle_incomplete_bounds_is_data_error(capsys):

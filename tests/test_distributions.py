@@ -112,11 +112,16 @@ def test_from_counts():
          "probabilities must be an iterable of numbers, got 5"),
         (lambda: from_probabilities(p for p in [0.5, "x"]), NonNumericProbability,
          "probability 1 is not a number: 'x'"),
+        (lambda: Distribution(p for p in [0.5, "x"]), NonNumericProbability,
+         "probability 1 is not a number: 'x'"),
         (lambda: sweep_binomial(5, 3), ParameterOutOfRange,
          "need an iterable of trial counts, got 5"),
+        (lambda: from_counts(5), ParameterOutOfRange,
+         "need an iterable of counts, got 5"),
     ],
     ids=["string", "none", "complex", "huge-int", "none-count", "labels", "labels-via-from",
-         "scalar", "scalar-via-from", "generator", "scalar-ns"],
+         "scalar", "scalar-via-from", "generator", "generator-direct", "scalar-ns",
+         "scalar-counts"],
 )
 def test_non_numeric_input_raises_a_typed_error(make, error, message):
     with pytest.raises(error) as info:

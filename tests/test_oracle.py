@@ -73,6 +73,12 @@ def test_mc_is_reproducible():
         dict(n=3, p_total=1.5, trials=10, seed=0),
         dict(n=3, p_total=1.0, trials=0, seed=0),
         dict(n=3, p_total=1.0, trials=10, seed=-1),
+        dict(n="3", p_total=1.0, trials=10, seed=0),
+        dict(n=2.5, p_total=1.0, trials=10, seed=0),
+        dict(n=3, p_total="x", trials=10, seed=0),
+        dict(n=3, p_total=None, trials=10, seed=0),
+        dict(n=3, p_total=1.0, trials=2.5, seed=0),
+        dict(n=3, p_total=1.0, trials=10, seed=1.5),
     ],
 )
 def test_mc_parameter_validation(kwargs):
