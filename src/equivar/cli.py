@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
 
 from . import __version__
 from .errors import EquivarError, ParameterOutOfRange
@@ -112,9 +111,21 @@ def _write_csv(
     _write_text(path, "\n".join(lines) + "\n")
 
 
+# Flag types: each reads its value as a CSV cell is read (ASCII, no ``_``),
+# and argparse names the type in the usage error of a value it refuses.
 def probability(text: str) -> float:
-    """A --probs value, read as a CSV cell is: ASCII, no ``_``, what ``float()`` takes."""
-    return _csv_number(text, "--probs", None)
+    """A --probs or --p-total value: what ``float()`` takes."""
+    return _csv_number(text, "probability", None)
+
+
+def integer(text: str) -> int:
+    """An integer flag's value: what ``int()`` takes."""
+    return _csv_number(text, "integer", None, int)
+
+
+def integer_list(text: str) -> list[int]:
+    """A comma-separated list of integers; blank entries are skipped."""
+    return [integer(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _read_input(path: str) -> bytes:
@@ -141,18 +152,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_binomial_sweep(args) -> int:
-    try:
-        ns = [int(tok) for tok in args.n.split(",") if tok.strip()]
-    except ValueError:
-        raise _UsageError(f"--n must be a comma-separated integer list, got {args.n!r}")
-    if not ns or any(n < 1 for n in ns):
+    if not args.n or any(n < 1 for n in args.n):
         raise _UsageError("--n entries must be >= 1")
     if args.p_steps < 2:
         raise _UsageError("--p-steps must be >= 2")
     rows = [
         (pt.n, pt.p, pt.report.cv, pt.report.cv_rel, pt.report.entropy_bits,
          pt.report.avg_number_f, pt.report.equiv_number_d, pt.report.equiv_number_g)
-        for pt in sweep_binomial(ns, args.p_steps)
+        for pt in sweep_binomial(args.n, args.p_steps)
     ]
     _write_csv(
         args.output,
@@ -268,9 +275,9 @@ def build_parser() -> _Parser:
             "p grid from 0 to 1 and emit one CSV row per grid cell."
         ),
     )
-    p.add_argument("--n", required=True, metavar="LIST",
+    p.add_argument("--n", type=integer_list, required=True, metavar="LIST",
                    help="comma-separated trial counts, e.g. 1,2,5,10,50")
-    p.add_argument("--p-steps", type=int, required=True, metavar="K",
+    p.add_argument("--p-steps", type=integer, required=True, metavar="K",
                    help="number of grid points including both endpoints (>= 2)")
     p.add_argument("--output", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=_cmd_binomial_sweep)
@@ -328,12 +335,12 @@ def build_parser() -> _Parser:
     p.add_argument("--check", required=True,
                    choices=["max-variance", "bounds", "cross"],
                    help="which validation to run")
-    p.add_argument("--n", type=int, metavar="N", help="vector length (max-variance)")
-    p.add_argument("--p-total", type=float, metavar="T",
+    p.add_argument("--n", type=integer, metavar="N", help="vector length (max-variance)")
+    p.add_argument("--p-total", type=probability, metavar="T",
                    help="total probability of sampled vectors (max-variance)")
-    p.add_argument("--trials", type=int, default=100000, metavar="K",
+    p.add_argument("--trials", type=integer, default=100000, metavar="K",
                    help="Monte-Carlo sample count (default 100000)")
-    p.add_argument("--seed", type=int, default=0, metavar="S",
+    p.add_argument("--seed", type=integer, default=0, metavar="S",
                    help="random seed, recorded in the result (default 0)")
     p.add_argument("--probs", type=probability, action="append", metavar="P",
                    help="one outcome probability; repeat per outcome (bounds/cross)")

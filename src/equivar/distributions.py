@@ -12,8 +12,7 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
-from operator import mul
-from typing import Iterable, Sequence
+from operator import add, mul
 
 from .errors import (
     AllZeroCounts,
@@ -98,33 +97,32 @@ def degenerate(n: int, sure_index: int = 0) -> Distribution:
     return Distribution(probs)
 
 
-def _pow_frexp(x: float, k: int) -> tuple[float, int]:
-    """x**k as (mantissa, exponent), so a result below the float range survives.
+def _power_table(x: float, n: int, lo: int) -> tuple[list, list, list]:
+    """x**k for k = 0..n, and x**k for k = lo..n - lo as mantissas and exponents.
 
-    The mantissa of x lies in [0.5, 1), so raising it to at most 1000 at a
-    time never underflows; each chunk's binary exponent is split off again.
+    The split powers keep a result below the float range, and round as a
+    chunked loop does: x's mantissa m lies in [0.5, 1), so m**b never
+    underflows for b <= 1000; ``head`` and ``shift`` are the loop's
+    renormalized mantissa and summed exponent after each full chunk of
+    1000, and k = a + b takes ``frexp(head * m**b)`` from chunk a's.
     """
     m, e = math.frexp(x)
-    mant, exp = 1.0, e * k
-    while k:
-        j = min(k, 1000)
-        mant, r = math.frexp(mant * m**j)
-        exp += r
-        k -= j
-    return mant, exp
+    mants: list[float] = []
+    exps: list[int] = []
+    head, shift = 1.0, 0
+    for a in range(0, n - lo + 1, 1000):
+        bs = range(max(lo - a, 0), min(n - lo + 1 - a, 1000))
+        fr = list(map(math.frexp, map(mul, repeat(head), map(pow, repeat(m), bs))))
+        mants += [f[0] for f in fr]
+        exps += [e * (a + b) + shift + f[1] for b, f in zip(bs, fr)]
+        head, r = math.frexp(head * m**1000)
+        shift += r
+    return list(map(pow, repeat(x), range(n + 1))), mants, exps
 
 
-def _scaled_term(cm: int, s: int, p: float, k: int, q: float, m: int) -> float:
-    """cm * 2**s * p**k * q**m for a coefficient too large for a float.
-
-    (cm, s) is the coefficient as _coefficients stores it: a 64-bit mantissa
-    whose lowest bit is sticky, so float() still rounds cm to the nearest
-    double of the coefficient's top bits; the three mantissas are
-    multiplied and the summed exponent applied once.
-    """
-    pm, pe = _pow_frexp(p, k)
-    qm, qe = _pow_frexp(q, m)
-    return math.ldexp(cm * pm * qm, s + pe + qe)
+# The power tables of the last binomial cell, by base and n: in a sweep,
+# the cell at 1 - p reads p's table as its q table and q's as its p table.
+_tables: dict = {}
 
 
 @lru_cache(maxsize=1)
@@ -163,19 +161,23 @@ def binomial(n: int, p: float) -> Distribution:
     Each term is ``C(n, k) * p**k * q**(n - k)`` evaluated in that order,
     with C(n, k) read from a row of coefficients that is computed once per
     n and cached for the next call with the same n (one row is kept, so a
-    sweep over p for one n builds it once; see _coefficients). For
-    n <= 1029 every coefficient fits a float, and ``float(C(n, k)) * x``
-    rounds exactly as ``C(n, k) * x`` does, so every bit equals that of
-    0.1.0, which called math.comb per term. From n = 1030 on, the row keeps
-    each coefficient past the float range as a 64-bit sticky mantissa and a
-    shift, and its term is evaluated with its binary exponent carried apart
-    (see _scaled_term), so any n >= 1 is valid and the terms near the mode
-    stay within a few ulp. Terms far below the mode may lose bits when
-    p**k or q**(n - k) underflows, as in 0.1.0. The p = 1 and p = +0.0
-    endpoints are one sure outcome and are built in closed form, as
-    :func:`degenerate` (the same bits the terms give). p = -0.0 takes the
-    general path, whose odd-k terms are -0.0 as in 0.1.0.
+    sweep over p for one n builds it once; see _coefficients). The powers
+    come from one table per base, kept for the two bases of the last call,
+    so the next call whose p or q has the same bits (the mirror cell 1 - p
+    of a sweep) reads them instead of raising the base again. For n <= 1029
+    every coefficient fits a float, and ``float(C(n, k)) * x`` rounds
+    exactly as ``C(n, k) * x`` does, so every bit equals that of 0.1.0,
+    which called math.comb per term. From n = 1030 on, the row keeps each
+    coefficient past the float range as a 64-bit sticky mantissa and a
+    shift, and its term multiplies the three mantissas and applies the
+    summed binary exponent once (see _power_table), so any n >= 1 is valid
+    and the terms near the mode stay within a few ulp. Terms far below the
+    mode may lose bits when p**k or q**(n - k) underflows, as in 0.1.0. The
+    p = 1 and p = +0.0 endpoints are one sure outcome and are built in
+    closed form, as :func:`degenerate` (the same bits the terms give).
+    p = -0.0 takes the general path, whose odd-k terms are -0.0 as in 0.1.0.
     """
+    global _tables
     n = _integer(n, "n", ParameterOutOfRange)
     if n < 1:
         raise ZeroSize(f"need n >= 1, got {n}")
@@ -189,15 +191,22 @@ def binomial(n: int, p: float) -> Distribution:
         return degenerate(n + 1, n if p else 0)
     q = 1.0 - p
     row, big = _coefficients(n)
-    probs = list(
-        map(
-            mul,
-            map(mul, row, map(pow, repeat(p), range(n + 1))),
-            map(pow, repeat(q), range(n, -1, -1)),
+    lo = big[0][0] if big else n + 1
+    # A key tells -0.0 from 0.0 and a float from an equal value of another type.
+    keys = [(type(x), x, math.copysign(1.0, x), n) for x in (p, q)]
+    tables: dict = {}
+    for key, x in zip(keys, (p, q)):  # p = q = 0.5 builds one table
+        tables[key] = tables.get(key) or _tables.get(key) or _power_table(x, n, lo)
+    _tables = tables
+    (pk, pm, pe), (qk, qm, qe) = map(tables.get, keys)
+    probs = list(map(mul, map(mul, row, pk), reversed(qk)))
+    if big:
+        _, cm, s = zip(*big)
+        probs[lo : n - lo + 1] = map(
+            math.ldexp,
+            map(mul, map(mul, cm, pm), reversed(qm)),
+            map(add, map(add, s, pe), reversed(qe)),
         )
-    )
-    for k, cm, s in big:
-        probs[k] = _scaled_term(cm, s, p, k, q, n - k)
     return Distribution(tuple(probs))
 
 
@@ -205,7 +214,11 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     """Analyze B(n, p) for each n over a uniform p grid including both endpoints.
 
     The grid is {0, 1/(p_steps-1), ..., 1}; output is row-major (n outer,
-    p inner), one fully analyzed SweepPoint per cell.
+    p inner), one fully analyzed SweepPoint per cell. Each inner cell is
+    built right after its mirror cell, so the two share their power tables
+    wherever ``1 - p`` of one is exactly the other's p. The p = 1 cell
+    carries the report of the p = 0 cell: its pmf is that one reversed, and
+    every report field is independent of the order of the outcomes.
     """
     p_steps = _integer(p_steps, "p_steps", ParameterOutOfRange)
     if p_steps < 2:
@@ -216,8 +229,12 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
         raise ParameterOutOfRange(f"need an iterable of trial counts, got {ns!r}") from None
     steps = p_steps - 1
     grid = [i / steps for i in range(p_steps)]
-    return [
-        SweepPoint(n=n, p=p, report=analyze(binomial(n, p)))
-        for n in ns
-        for p in grid
-    ]
+    mirrored = dict.fromkeys(j for i in range(1, steps // 2 + 1) for j in (i, steps - i))
+    points = []
+    for n in ns:
+        reports = {0: analyze(binomial(n, grid[0]))}
+        for i in mirrored:
+            reports[i] = analyze(binomial(n, grid[i]))
+        reports[steps] = reports[0]
+        points += [SweepPoint(n, p, reports[i]) for i, p in enumerate(grid)]
+    return points

@@ -58,7 +58,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import repeat
 from operator import mul
-from typing import Iterator, Sequence
 
 from .errors import (
     AllImpossible,

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .distributions import _integer
 from .errors import IncompleteDistribution, ParameterOutOfRange
 from .indicators import TOL_SUM, Distribution, analyze, total_probability
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ORACLE_TOL",

@@ -23,9 +23,8 @@ plus three synthetic areas (SYN1..SYN3) added for ranking tests.
 from __future__ import annotations
 
 import json
+import os
 from collections import namedtuple
-from importlib import resources
-from typing import IO, Iterable, Sequence
 
 from .errors import (
     BadFieldCount,
@@ -171,12 +170,16 @@ def _json_number(value, where: str, row: int) -> float:
         raise NonNumericProbability(f"{where} is past the float range", row=row) from None
 
 
-def _csv_number(field: str, where: str, row: int) -> float:
-    """A CSV field as a float: what ``float()`` reads, but in ASCII and without ``_``."""
+def _csv_number(field: str, where: str, row: int | None, kind: type = float) -> float | int:
+    """A CSV field as a float: what ``float()`` reads, but in ASCII and without ``_``.
+
+    With ``kind=int`` it reads an integer under the same policy, for the
+    CLI's integer flags.
+    """
     try:
         if "_" in field or not field.isascii():
             raise ValueError
-        return float(field)
+        return kind(field)
     except ValueError:
         raise NonNumericProbability(
             f"{where} is not a number: {field.strip()!r}", row=row
@@ -418,4 +421,4 @@ def find_area(records: Sequence[AreaRecord], area_id: str) -> AreaRecord:
 
 def sample_table_path() -> str:
     """Filesystem path of the bundled sample area table (CSV)."""
-    return str(resources.files("equivar").joinpath("data/gws_sample.csv"))
+    return os.path.join(os.path.dirname(__file__), "data", "gws_sample.csv")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -658,6 +659,43 @@ def test_probs_flag_refuses_what_a_csv_cell_refuses(capsys, command, cell):
     assert err == f"equivar: usage error: argument --probs: invalid probability value: {cell!r}\n"
 
 
+_MAX_VARIANCE = ("oracle", "--check", "max-variance", "--n", "3", "--p-total", "1", "--trials", "100")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, kind, value",
+    [
+        (("binomial-sweep", "--n", "1_0,\u0663", "--p-steps", "2"), "--n", "integer_list", "1_0,\u0663"),
+        (("binomial-sweep", "--n", "3", "--p-steps", "1_1"), "--p-steps", "integer", "1_1"),
+        (("oracle", "--check", "max-variance", "--n", "3", "--p-total", "0.9_5", "--seed", "\u0663"),
+         "--p-total", "probability", "0.9_5"),
+        (("oracle", "--check", "max-variance", "--n", "\u0663", "--p-total", "1"), "--n", "integer", "\u0663"),
+        ((*_MAX_VARIANCE, "--seed", "\u0663"), "--seed", "integer", "\u0663"),
+        ((*_MAX_VARIANCE, "--trials", "1_000"), "--trials", "integer", "1_000"),
+    ],
+    ids=["sweep-n", "p-steps", "p-total", "oracle-n", "seed", "trials"],
+)
+def test_numeric_flags_refuse_what_a_csv_cell_refuses(capsys, argv, flag, kind, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err == f"equivar: usage error: argument {flag}: invalid {kind} value: {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (("binomial-sweep", "--n", " 1,+2,,05, ", "--p-steps", " 3"),
+         ("binomial-sweep", "--n", "1,2,5", "--p-steps", "3")),
+        ((*_MAX_VARIANCE[:6], "+0.5e0", "--trials", " 0100", "--seed", "+7 "),
+         (*_MAX_VARIANCE[:6], "0.5", "--trials", "100", "--seed", "7")),
+    ],
+    ids=["binomial-sweep", "oracle"],
+)
+def test_numeric_flags_read_every_ascii_spelling_int_and_float_take(capsys, argv, plain):
+    got, want = run(capsys, *argv, "--no-timestamp"), run(capsys, *plain, "--no-timestamp")
+    assert got == want and got[0] == 0
+
+
 def test_oracle_incomplete_bounds_is_data_error(capsys):
     code, _, err = run(
         capsys, "oracle", "--check", "bounds", "--probs", "0.5", "--probs", "0.25"
@@ -720,6 +758,19 @@ def test_cli_import_loads_neither_numpy_nor_fractions():
         f"print(*[m for m in {_UNLOADED_AT_START!r} if m in sys.modules])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_cli_import_on_a_plain_interpreter_loads_neither_typing_nor_importlib_resources():
+    # Under -S no site module preloads them, so any load is equivar's own.
+    code = (
+        "import sys, equivar.cli; "
+        "print(*[m for m in ('typing', 'importlib.resources') if m in sys.modules])"
+    )
+    # -S drops site-packages, so the child is told where this equivar lies.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
 

@@ -395,3 +395,63 @@ def test_cached_row_is_small_numbers_only():
     assert len(row) == 20001 and all(type(c) is float for c in row)
     assert big and all(type(v) is int and v.bit_length() <= 64 for entry in big for v in entry)
     assert sorted(k for k, _, _ in big) == [k for k, c in enumerate(row) if c == math.inf]
+
+
+# ----------------------------------------------------------------------
+# the power tables shared by mirror cells
+
+
+def _clear_caches():
+    distributions._coefficients.cache_clear()
+    distributions._tables.clear()
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=3000),
+            st.sampled_from([2, 3, 5, 7, 11, 101]),
+            st.sampled_from([-0.0, 0.1, 0.25, 0.75, 0.9]) | st.floats(min_value=0.0, max_value=1.0),
+        ),
+        min_size=1,
+        max_size=2,
+    )
+)
+@example([(1050, 7, -0.0), (1050, 5, 0.75)])
+@example([(3, 101, 0.7), (1031, 11, 0.9)])  # cells whose 1 - p is not the mirror point
+@settings(max_examples=8, deadline=None)
+def test_shared_power_tables_keep_every_bit(draws):
+    # Calls run back to back, so each may read the tables the last one left;
+    # the references are computed afterwards, each from cleared caches.
+    singles, points = [], []
+    for n, p_steps, p in draws:
+        singles.append((n, p, _hex(binomial(n, p).probs)))
+        points += sweep_binomial([n], p_steps)
+    for n, p, got in singles:
+        _clear_caches()
+        assert got == _hex(binomial(n, p).probs), (n, p)
+    for pt in points:
+        _clear_caches()
+        fresh = analyze(binomial(pt.n, pt.p))
+        assert _hex(pt.report.to_dict().values()) == _hex(fresh.to_dict().values()), pt[:2]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_big_terms_over_many_chunks_keep_their_bits(p):
+    # At n = 20000 both p**k and q**(n - k) span two or more chunks of 1000
+    # powers for every sampled k, on both sides of the mode.
+    n = 20000
+    q = 1.0 - p
+    mode = round(n * p)
+    got = binomial(n, p).probs
+    ks = range(mode - 2400, mode + 2401, 96)
+    assert min(ks) >= 2000 and n - max(ks) >= 2000
+    assert sum(got[k] > 0.0 for k in ks) >= 40
+    for k in ks:
+        assert got[k].hex() == _big_term(math.comb(n, k), p, k, q, n - k).hex(), (p, k)
+
+
+def test_caches_stay_bounded_after_a_sweep():
+    sweep_binomial([1100, 40], 101)
+    assert len(distributions._tables) <= 2
+    assert distributions._coefficients.cache_info().maxsize == 1
