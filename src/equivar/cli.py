@@ -14,6 +14,8 @@ import argparse
 import json
 import math
 import sys
+import time
+from collections.abc import Sequence
 
 from . import __version__
 from .errors import EquivarError, ParameterOutOfRange
@@ -53,10 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _utc_now() -> str:
-    # Imported here: most calls pass --no-timestamp and never need it.
-    from datetime import datetime, timezone
-
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def _metadata(command: str, no_timestamp: bool) -> dict:
@@ -176,17 +175,13 @@ def _cmd_gws(args) -> int:
     # Analyze each area once; the ranking and the chart both read these.
     reports = [area_report(rec) for rec in records]
     ranked = reports if args.rank is None else rank_areas(reports, args.rank)
+    # Built before any output, so a table it refuses leaves nothing written.
+    chart = None if args.chart is None else chart_data(reports)
     _write_json(
         args.report, "gws", [ar.to_dict() for ar in ranked], args.no_timestamp
     )
-    if args.chart is not None:
-        _write_csv(
-            args.chart,
-            "gws",
-            ",".join(ChartRow._fields),
-            chart_data(reports),
-            args.no_timestamp,
-        )
+    if chart is not None:
+        _write_csv(args.chart, "gws", ",".join(ChartRow._fields), chart, args.no_timestamp)
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
@@ -97,116 +98,110 @@ def degenerate(n: int, sure_index: int = 0) -> Distribution:
     return Distribution(probs)
 
 
-def _power_table(x: float, n: int, lo: int) -> tuple[list, list, list]:
-    """x**k for k = 0..n, and x**k for k = lo..n - lo as mantissas and exponents.
+# Two tables, the p and q of the last binomial cell: in a sweep, the cell
+# at 1 - p reads p's table as its q table and q's as its p table. Keys
+# cannot collide: p and q are floats, and -0.0 is the only zero that
+# reaches a table, because p = +0.0 and p = 1 are built in closed form.
+@lru_cache(maxsize=2)
+def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[list[float], list[int]]:
+    """x**k for k = 0..n, split into mantissa and exponent for k = lo..hi - 1.
 
-    The split powers keep a result below the float range, and round as a
-    chunked loop does: x's mantissa m lies in [0.5, 1), so m**b never
-    underflows for b <= 1000; ``head`` and ``shift`` are the loop's
-    renormalized mantissa and summed exponent after each full chunk of
-    1000, and k = a + b takes ``frexp(head * m**b)`` from chunk a's.
+    Returns ``(powers, exps)``. For k in the run lo..hi - 1, the k whose
+    coefficients are past the float range (see _coefficients),
+    ``powers[k]`` is a mantissa and ``exps[k - lo]`` its binary exponent;
+    elsewhere ``powers[k]`` is x**k. The split powers keep a result below
+    the float range, and round as a chunked loop does: x's mantissa m lies
+    in [0.5, 1), so m**b never underflows for b <= 1000; ``head`` and
+    ``shift`` are the loop's renormalized mantissa and summed exponent after
+    each full chunk of 1000, and k = a + b takes ``frexp(head * m**b)``
+    from chunk a's.
     """
     m, e = math.frexp(x)
-    mants: list[float] = []
+    powers = list(map(pow, repeat(x), range(lo)))
     exps: list[int] = []
     head, shift = 1.0, 0
-    for a in range(0, n - lo + 1, 1000):
-        bs = range(max(lo - a, 0), min(n - lo + 1 - a, 1000))
+    for a in range(0, hi, 1000):
+        bs = range(max(lo - a, 0), min(hi - a, 1000))
         fr = list(map(math.frexp, map(mul, repeat(head), map(pow, repeat(m), bs))))
-        mants += [f[0] for f in fr]
+        powers += [f[0] for f in fr]
         exps += [e * (a + b) + shift + f[1] for b, f in zip(bs, fr)]
         head, r = math.frexp(head * m**1000)
         shift += r
-    return list(map(pow, repeat(x), range(n + 1))), mants, exps
-
-
-# The power tables of the last binomial cell, by base and n: in a sweep,
-# the cell at 1 - p reads p's table as its q table and q's as its p table.
-_tables: dict = {}
+    powers += map(pow, repeat(x), range(hi, n + 1))
+    return powers, exps
 
 
 @lru_cache(maxsize=1)
-def _coefficients(n: int) -> tuple[tuple[float, ...], tuple[tuple[int, int, int], ...]]:
-    """The row C(n, 0..n) as floats, and the coefficients past the float range.
+def _coefficients(n: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The row C(n, 0..n) as floats, and the shifts of those past the float range.
 
-    Returns ``(row, big)``. ``row[k]`` is float(C(n, k)) wherever that fits
-    a float. Each coefficient that does not (only for n >= 1030) is kept in
-    ``big`` as ``(k, cm, s)``: cm is the coefficient cut to a 64-bit
-    mantissa whose lowest bit is set when any dropped bit was, and s the
-    number of bits dropped; its ``row[k]`` holds inf. Either way the row
-    holds O(n) small numbers, not the O(n^2) bits of the exact integers.
-    The exact integer is carried from one k to the next (C(n, k+1) =
-    C(n, k) * (n - k) // (k + 1)) over the first half of the row, and the
-    second half mirrors it.
+    Returns ``(row, shifts)``. ``row[k]`` is float(C(n, k)) wherever that
+    fits a float. The k where it does not (only for n >= 1030) form one run
+    lo..n - lo around the centre. There the coefficient is cut to a 64-bit
+    mantissa cm whose lowest bit is set when any dropped bit was; ``row[k]``
+    is float(cm), which rounds a product as cm does (int * float converts
+    the int with correct rounding), and ``shifts`` holds the number of bits
+    dropped, one int per k of the run. So the row holds O(n) small numbers,
+    not the O(n^2) bits of the exact integers. The exact integer is carried
+    from one k to the next (C(n, k+1) = C(n, k) * (n - k) // (k + 1)) over
+    the first half of the row, and the second half mirrors it.
     """
     half: list[float] = []
-    big: list[tuple[int, int, int]] = []
+    shifts: list[int] = []
     c = 1
     for k in range(n // 2 + 1):
         try:
             half.append(float(c))
         except OverflowError:
             s = c.bit_length() - 64
-            big.append((k, (c >> s) | bool(c & ((1 << s) - 1)), s))
-            half.append(math.inf)
+            half.append(float((c >> s) | bool(c & ((1 << s) - 1))))
+            shifts.append(s)
         c = c * (n - k) // (k + 1)
-    row = half + half[n - len(half)::-1]
-    big += [(n - k, cm, s) for k, cm, s in reversed(big) if n - k != k]
-    return tuple(row), tuple(big)
+    # For even n the centre k = n / 2 ends each half and is not repeated.
+    return tuple(half + half[n % 2 - 2 :: -1]), tuple(shifts + shifts[n % 2 - 2 :: -1])
 
 
 def binomial(n: int, p: float) -> Distribution:
     """Binomial pmf B(n, p) over k = 0..n as a complete distribution.
 
-    Each term is ``C(n, k) * p**k * q**(n - k)`` evaluated in that order,
-    with C(n, k) read from a row of coefficients that is computed once per
-    n and cached for the next call with the same n (one row is kept, so a
-    sweep over p for one n builds it once; see _coefficients). The powers
-    come from one table per base, kept for the two bases of the last call,
-    so the next call whose p or q has the same bits (the mirror cell 1 - p
-    of a sweep) reads them instead of raising the base again. For n <= 1029
-    every coefficient fits a float, and ``float(C(n, k)) * x`` rounds
-    exactly as ``C(n, k) * x`` does, so every bit equals that of 0.1.0,
-    which called math.comb per term. From n = 1030 on, the row keeps each
-    coefficient past the float range as a 64-bit sticky mantissa and a
-    shift, and its term multiplies the three mantissas and applies the
-    summed binary exponent once (see _power_table), so any n >= 1 is valid
-    and the terms near the mode stay within a few ulp. Terms far below the
-    mode may lose bits when p**k or q**(n - k) underflows, as in 0.1.0. The
-    p = 1 and p = +0.0 endpoints are one sure outcome and are built in
-    closed form, as :func:`degenerate` (the same bits the terms give).
-    p = -0.0 takes the general path, whose odd-k terms are -0.0 as in 0.1.0.
+    p may be any real number; it is read as ``float(p)``. Each term is
+    ``C(n, k) * p**k * q**(n - k)``, evaluated in that order in one product
+    pass over the coefficient row (cached for the last n; see _coefficients)
+    and one power table per base (cached for the last two bases, so the
+    mirror cell 1 - p of a sweep reads them; see _power_table). For
+    n <= 1029 every coefficient fits a float, and ``float(C(n, k)) * x``
+    rounds exactly as ``C(n, k) * x`` does, so every bit equals that of
+    0.1.0, which called math.comb per term. From n = 1030 on, the k whose
+    coefficients are past the float range form one run around the centre:
+    there the pass multiplies three mantissas and ``math.ldexp`` applies
+    their summed binary exponent, so any n >= 1 is valid and the terms near
+    the mode stay within a few ulp. Terms far below the mode may lose bits
+    when p**k or q**(n - k) underflows, as in 0.1.0. The p = 1 and p = +0.0
+    endpoints are one sure outcome, built in closed form as
+    :func:`degenerate` (the same bits the terms give); p = -0.0 takes the
+    general path, whose odd-k terms are -0.0 as in 0.1.0.
     """
-    global _tables
     n = _integer(n, "n", ParameterOutOfRange)
     if n < 1:
         raise ZeroSize(f"need n >= 1, got {n}")
     try:
         valid = math.isfinite(p) and 0.0 <= p <= 1.0
-    except TypeError:  # not a real number
+        if valid:
+            p = float(p)
+    except (TypeError, ValueError, ArithmeticError):  # not a real number
         valid = False
     if not valid:
         raise ParameterOutOfRange(f"need 0 <= p <= 1, got {p!r}")
     if p == 1.0 or (p == 0.0 and math.copysign(1.0, p) > 0.0):
         return degenerate(n + 1, n if p else 0)
-    q = 1.0 - p
-    row, big = _coefficients(n)
-    lo = big[0][0] if big else n + 1
-    # A key tells -0.0 from 0.0 and a float from an equal value of another type.
-    keys = [(type(x), x, math.copysign(1.0, x), n) for x in (p, q)]
-    tables: dict = {}
-    for key, x in zip(keys, (p, q)):  # p = q = 0.5 builds one table
-        tables[key] = tables.get(key) or _tables.get(key) or _power_table(x, n, lo)
-    _tables = tables
-    (pk, pm, pe), (qk, qm, qe) = map(tables.get, keys)
+    row, shifts = _coefficients(n)
+    lo = (n + 1 - len(shifts)) // 2
+    hi = lo + len(shifts)
+    pk, pe = _power_table(p, n, lo, hi)
+    qk, qe = _power_table(1.0 - p, n, lo, hi)
     probs = list(map(mul, map(mul, row, pk), reversed(qk)))
-    if big:
-        _, cm, s = zip(*big)
-        probs[lo : n - lo + 1] = map(
-            math.ldexp,
-            map(mul, map(mul, cm, pm), reversed(qm)),
-            map(add, map(add, s, pe), reversed(qe)),
-        )
+    exps = map(add, map(add, shifts, pe), reversed(qe))
+    probs[lo:hi] = map(math.ldexp, probs[lo:hi], exps)
     return Distribution(tuple(probs))
 
 

@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import repeat
 from operator import mul
 

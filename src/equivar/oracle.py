@@ -54,14 +54,13 @@ class OracleResult(
         return self._asdict()
 
 
-def sample_simplex(
-    n: int, p_total: float, trials: int, rng: np.random.Generator
-) -> np.ndarray:
+def sample_simplex(n: int, p_total: float, trials: int, rng):
     """Draw ``trials`` vectors uniformly from the simplex scaled to sum p_total.
 
     Normalized unit-exponential draws are Dirichlet(1, ..., 1), i.e. uniform
     on the simplex; scaling by p_total moves them to the incomplete shell.
-    Returns an array of shape (trials, n).
+    ``rng`` is a numpy ``Generator``; returns a numpy array of shape
+    (trials, n).
     """
     e = rng.standard_exponential((trials, n))
     return (p_total / e.sum(axis=1))[:, None] * e
@@ -80,7 +79,9 @@ def mc_max_variance(n: int, p_total: float, trials: int, seed: int) -> OracleRes
         raise ParameterOutOfRange(f"need n >= 2, got {n}")
     try:
         valid = 0.0 < p_total <= 1.0
-    except TypeError:  # not a real number
+        if valid:
+            p_total = float(p_total)
+    except (TypeError, ValueError, ArithmeticError):  # not a real number
         valid = False
     if not valid:
         raise ParameterOutOfRange(f"need 0 < p_total <= 1, got {p_total!r}")

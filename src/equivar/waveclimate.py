@@ -22,9 +22,11 @@ plus three synthetic areas (SYN1..SYN3) added for ranking tests.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     BadFieldCount,
@@ -124,7 +126,7 @@ class ChartRow(namedtuple("ChartRow", "area_id p_total cv_rel h_rel d f g")):
     __slots__ = ()
 
 
-def _decode(data: bytes | str | IO[bytes]) -> str:
+def _decode(data: bytes | str | io.BufferedIOBase) -> str:
     if isinstance(data, str):
         return data
     raw = data if isinstance(data, (bytes, bytearray)) else data.read()
@@ -142,7 +144,7 @@ def _load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def _read(data: bytes | str | IO[bytes], format: str, from_csv, from_json):
+def _read(data: bytes | str | io.BufferedIOBase, format: str, from_csv, from_json):
     """Decode ``data`` and pass it to the reader of its format."""
     text = _decode(data)
     if format == "csv":
@@ -221,7 +223,7 @@ def _vector_json(doc) -> tuple[list[float], list[str] | None]:
 
 
 def read_vector(
-    data: bytes | str | IO[bytes], format: str = "csv"
+    data: bytes | str | io.BufferedIOBase, format: str = "csv"
 ) -> tuple[list[float], list[str] | None]:
     """Read one probability vector and its labels (or None) from CSV or JSON.
 
@@ -315,7 +317,9 @@ def _parse_json(doc) -> list[AreaRecord]:
     return list(records.values())
 
 
-def parse_area_table(data: bytes | str | IO[bytes], format: str = "csv") -> list[AreaRecord]:
+def parse_area_table(
+    data: bytes | str | io.BufferedIOBase, format: str = "csv"
+) -> list[AreaRecord]:
     """Parse an area table from CSV or JSON bytes/text, in file order.
 
     CSV input must start with the exact header ``area,dN,dNE,dE,dSE,dS,dSW,

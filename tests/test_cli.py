@@ -473,6 +473,17 @@ def test_gws_chart_file(capsys, tmp_path):
     assert ids == sorted(ids)  # chart is always area-sorted
 
 
+@pytest.mark.parametrize("rank", [[], ["--rank", "d"]], ids=["unranked", "ranked"])
+def test_gws_chart_of_an_empty_table_writes_nothing(capsys, tmp_path, rank):
+    table, report = tmp_path / "empty.csv", tmp_path / "report.json"
+    table.write_text("area,dN,dNE,dE,dSE,dS,dSW,dW,dNW\n")
+    for dest in ([], ["--report", str(report)]):
+        code, out, err = run(capsys, "gws", "--input", str(table), *dest, *rank,
+                             "--chart", str(tmp_path / "chart.csv"), "--no-timestamp")
+        assert code == 2 and out == "" and "EmptyInput" in err
+    assert list(tmp_path.iterdir()) == [table]
+
+
 def test_gws_json_input(capsys, tmp_path):
     doc = [{"area": "A64", "directions": [0.0042, 0.0098, 0.1151, 0.6081,
                                           0.2110, 0.0234, 0.0049, 0.0033]}]

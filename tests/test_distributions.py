@@ -1,8 +1,11 @@
 """Unit tests for the distribution constructors and binomial sweeps."""
 
 import math
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -185,6 +188,32 @@ def test_binomial_rejects_bad_parameters():
     for bad in (-0.1, 1.1, float("nan"), "0.5", None, 1j):
         with pytest.raises(ParameterOutOfRange, match=r"^need 0 <= p <= 1, got "):
             binomial(5, bad)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Decimal("0.3"), Decimal("-0"), Fraction(1, 3), Fraction(1, 10**400),
+     Fraction(2**60 - 1, 2**60), np.float64(0.3), np.float64(-0.0)],
+    ids=["decimal", "decimal-minus-zero", "fraction", "fraction-tiny", "fraction-near-one",
+         "float64", "float64-minus-zero"],
+)
+@pytest.mark.parametrize("n", [5, 1100])
+def test_binomial_reads_a_real_p_as_the_equal_float(n, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _hex(binomial(n, p).probs)
+    distributions._power_table.cache_clear()
+    assert got == _hex(binomial(n, float(p)).probs)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [Decimal("sNaN"), Decimal("2"), 10**400, Fraction(-1, 10**400)],
+    ids=["decimal-snan", "decimal-two", "huge-int", "fraction-below-zero"],
+)
+def test_binomial_refuses_a_real_p_out_of_range(bad):
+    with pytest.raises(ParameterOutOfRange, match=r"^need 0 <= p <= 1, got "):
+        binomial(5, bad)
 
 
 def test_binomial_sums_to_one_across_grid():
@@ -391,10 +420,18 @@ def test_cached_row_is_small_numbers_only():
     binomial(20000, 0.5)
     info = distributions._coefficients.cache_info()
     assert info.maxsize == 1 and info.currsize == 1
-    row, big = distributions._coefficients(20000)
-    assert len(row) == 20001 and all(type(c) is float for c in row)
-    assert big and all(type(v) is int and v.bit_length() <= 64 for entry in big for v in entry)
-    assert sorted(k for k, _, _ in big) == [k for k, c in enumerate(row) if c == math.inf]
+    row, shifts = distributions._coefficients(20000)
+    assert len(row) == 20001 and all(type(c) is float and math.isfinite(c) for c in row)
+    assert shifts and all(type(s) is int and 0 < s.bit_length() <= 64 for s in shifts)
+    # One shift per k past the float range, the run k = lo..n - lo, whose
+    # row entries hold the coefficients' 64-bit sticky mantissas.
+    lo = (20001 - len(shifts)) // 2
+    assert row[lo - 1] == float(math.comb(20000, lo - 1))
+    with pytest.raises(OverflowError):
+        float(math.comb(20000, lo))
+    for k in (lo, 10000, 20000 - lo):
+        c, s = math.comb(20000, k), shifts[k - lo]
+        assert s == c.bit_length() - 64 and row[k] == float((c >> s) | bool(c & ((1 << s) - 1)))
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +440,7 @@ def test_cached_row_is_small_numbers_only():
 
 def _clear_caches():
     distributions._coefficients.cache_clear()
-    distributions._tables.clear()
+    distributions._power_table.cache_clear()
 
 
 @given(
@@ -453,5 +490,6 @@ def test_big_terms_over_many_chunks_keep_their_bits(p):
 
 def test_caches_stay_bounded_after_a_sweep():
     sweep_binomial([1100, 40], 101)
-    assert len(distributions._tables) <= 2
+    tables = distributions._power_table.cache_info()
+    assert tables.maxsize == 2 and tables.currsize <= 2
     assert distributions._coefficients.cache_info().maxsize == 1

@@ -1,5 +1,8 @@
 """Unit tests for the Monte-Carlo and cross-path validators."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,25 @@ def test_mc_is_reproducible():
 def test_mc_parameter_validation(kwargs):
     with pytest.raises(ParameterOutOfRange):
         mc_max_variance(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "p_total",
+    [Decimal("0.3"), Fraction(1, 3), np.float64(0.3)],
+    ids=["decimal", "fraction", "float64"],
+)
+def test_mc_reads_a_real_p_total_as_the_equal_float(p_total):
+    got = mc_max_variance(n=3, p_total=p_total, trials=10, seed=0)
+    assert got == mc_max_variance(n=3, p_total=float(p_total), trials=10, seed=0)
+    assert type(got.reference_value) is float
+
+
+@pytest.mark.parametrize(
+    "p_total", [Decimal("sNaN"), 10**400, 1j], ids=["decimal-snan", "huge-int", "complex"]
+)
+def test_mc_refuses_a_p_total_that_is_not_a_real_in_range(p_total):
+    with pytest.raises(ParameterOutOfRange, match=r"^need 0 < p_total <= 1, got "):
+        mc_max_variance(n=3, p_total=p_total, trials=10, seed=0)
 
 
 def test_simplex_sampler_sums_and_range():

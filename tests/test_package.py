@@ -1,7 +1,9 @@
 """The package's public names: each module's ``__all__`` decides, the package re-exports."""
 
+import typing
+
 import equivar
-from equivar import distributions, indicators, oracle, waveclimate
+from equivar import cli, distributions, indicators, oracle, waveclimate
 
 # Every name the package exported by hand before the module lists took over.
 HAND_LISTED = [
@@ -42,3 +44,13 @@ def test_all_keeps_every_hand_listed_name():
     assert len(HAND_LISTED) == 40
     assert set(HAND_LISTED) <= set(equivar.__all__)
 
+
+
+def test_every_public_annotation_resolves():
+    callables = [getattr(equivar, name) for name in equivar.__all__]
+    callables = [obj for obj in callables if callable(obj)] + [cli.main]
+    for obj in callables:
+        typing.get_type_hints(obj)
+        for attr in vars(obj).values() if isinstance(obj, type) else ():
+            if callable(attr):
+                typing.get_type_hints(attr)
