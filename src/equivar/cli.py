@@ -18,7 +18,7 @@ import time
 from collections.abc import Sequence
 
 from . import __version__
-from .errors import EquivarError, ParameterOutOfRange
+from .errors import EquivarError, ParameterOutOfRange, ZeroSize
 from .distributions import from_probabilities, sweep_binomial
 from .indicators import analyze
 from .oracle import cross_check_report, mc_max_variance, verify_sum_squares_bounds
@@ -123,8 +123,11 @@ def integer(text: str) -> int:
 
 
 def integer_list(text: str) -> list[int]:
-    """A comma-separated list of integers; blank entries are skipped."""
-    return [integer(tok) for tok in text.split(",") if tok.strip()]
+    """A comma-separated list of integers; blank entries are skipped, but one must remain."""
+    values = [integer(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError("no integer in the list")
+    return values
 
 
 def _read_input(path: str) -> bytes:
@@ -151,10 +154,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_binomial_sweep(args) -> int:
-    if not args.n or any(n < 1 for n in args.n):
-        raise _UsageError("--n entries must be >= 1")
-    if args.p_steps < 2:
-        raise _UsageError("--p-steps must be >= 2")
     rows = [
         (pt.n, pt.p, pt.report.cv, pt.report.cv_rel, pt.report.entropy_bits,
          pt.report.avg_number_f, pt.report.equiv_number_d, pt.report.equiv_number_g)
@@ -201,10 +200,7 @@ def _cmd_oracle(args) -> int:
             raise _UsageError("--check max-variance needs --n and --p-total")
         if args.probs is not None:
             raise _UsageError("--probs does not apply to --check max-variance")
-        try:
-            result = mc_max_variance(args.n, args.p_total, args.trials, args.seed)
-        except ParameterOutOfRange as exc:
-            raise _UsageError(str(exc)) from None
+        result = mc_max_variance(args.n, args.p_total, args.trials, args.seed)
     else:
         if args.probs is None:
             raise _UsageError(f"--check {args.check} needs --probs")
@@ -350,7 +346,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    # Only flag values reach the library parameters that raise these two
+    # (n, p_steps, p_total, trials, seed): a grid p is always in range, and
+    # validating a vector raises neither. So each names a flag value.
+    except (_UsageError, ParameterOutOfRange, ZeroSize) as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EquivarError as exc:

@@ -69,28 +69,41 @@ def from_counts(counts: Sequence[int]) -> Distribution:
     return Distribution(tuple(c / total for c in counts))
 
 
-def _integer(value, name: str, error: type) -> int:
-    """value as an int (anything operator.index takes), else ``error``."""
+def _integer(value, name: str, least: int, error: type = ParameterOutOfRange) -> int:
+    """value as an int (anything operator.index takes); one below ``least`` raises ``error``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
-        raise error(f"need an integer {name}, got {value!r}") from None
+        raise ParameterOutOfRange(f"need an integer {name}, got {value!r}") from None
+    if value < least:
+        raise error(f"need {name} >= {least}, got {value}")
+    return value
+
+
+def _unit_interval(value, name: str, above_zero: bool = False) -> float:
+    """value as a float in [0, 1], or in (0, 1] when ``above_zero``; a NaN is neither."""
+    try:
+        if (0.0 < value if above_zero else 0.0 <= value) and value <= 1.0:
+            return float(value)
+    except (TypeError, ValueError, ArithmeticError):  # not a real number
+        pass
+    low = "0 <" if above_zero else "0 <="
+    raise ParameterOutOfRange(f"need {low} {name} <= 1, got {value!r}")
 
 
 def uniform(n: int) -> Distribution:
     """n outcomes of probability 1/n each."""
-    n = _integer(n, "n", ParameterOutOfRange)
-    if n < 1:
-        raise ZeroSize(f"need n >= 1, got {n}")
+    n = _integer(n, "n", 1, ZeroSize)
     return Distribution((1.0 / n,) * n)
 
 
 def degenerate(n: int, sure_index: int = 0) -> Distribution:
     """One sure outcome at sure_index, the other n - 1 impossible."""
-    n = _integer(n, "n", ParameterOutOfRange)
-    if n < 1:
-        raise ZeroSize(f"need n >= 1, got {n}")
-    sure_index = _integer(sure_index, "sure_index", IndexOutOfRange)
+    n = _integer(n, "n", 1, ZeroSize)
+    try:
+        sure_index = operator.index(sure_index)
+    except TypeError:
+        raise IndexOutOfRange(f"need an integer sure_index, got {sure_index!r}") from None
     if not 0 <= sure_index < n:
         raise IndexOutOfRange(f"sure_index {sure_index} outside [0, {n})")
     probs = [0.0] * n
@@ -181,17 +194,8 @@ def binomial(n: int, p: float) -> Distribution:
     :func:`degenerate` (the same bits the terms give); p = -0.0 takes the
     general path, whose odd-k terms are -0.0 as in 0.1.0.
     """
-    n = _integer(n, "n", ParameterOutOfRange)
-    if n < 1:
-        raise ZeroSize(f"need n >= 1, got {n}")
-    try:
-        valid = math.isfinite(p) and 0.0 <= p <= 1.0
-        if valid:
-            p = float(p)
-    except (TypeError, ValueError, ArithmeticError):  # not a real number
-        valid = False
-    if not valid:
-        raise ParameterOutOfRange(f"need 0 <= p <= 1, got {p!r}")
+    n = _integer(n, "n", 1, ZeroSize)
+    p = _unit_interval(p, "p")
     if p == 1.0 or (p == 0.0 and math.copysign(1.0, p) > 0.0):
         return degenerate(n + 1, n if p else 0)
     row, shifts = _coefficients(n)
@@ -215,9 +219,7 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     carries the report of the p = 0 cell: its pmf is that one reversed, and
     every report field is independent of the order of the outcomes.
     """
-    p_steps = _integer(p_steps, "p_steps", ParameterOutOfRange)
-    if p_steps < 2:
-        raise ParameterOutOfRange(f"need p_steps >= 2, got {p_steps}")
+    p_steps = _integer(p_steps, "p_steps", 2)
     try:
         ns = list(ns)
     except TypeError:

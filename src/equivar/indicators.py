@@ -101,42 +101,6 @@ TOL_SUM = 1e-9
 W = 64
 
 
-class _Record:
-    """Base of the validated records: immutable slotted fields, compared by value.
-
-    A subclass lists its fields in ``__slots__`` and sets them in
-    ``__init__`` with ``object.__setattr__``; equality, hashing, ``repr``
-    and pickling all run over those fields in that order.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        # Rebuilt through the constructor, so an unpickled copy is validated too.
-        return type(self), self._values()
-
-
 def _first_non_number(values: tuple) -> EquivarError:
     """The error for probabilities that float() cannot all read, naming the first."""
     for i, value in enumerate(values):
@@ -149,7 +113,7 @@ def _first_non_number(values: tuple) -> EquivarError:
     return ValidationFailure(f"probabilities must be numbers, got {values!r}")
 
 
-class Distribution(_Record):
+class Distribution:
     """Validated, immutable vector of outcome probabilities with optional labels.
 
     Raises a :class:`~equivar.errors.ValidationFailure` subclass at
@@ -232,6 +196,27 @@ class Distribution(_Record):
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.probs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.probs, self.labels) == (other.probs, other.labels)
+
+    def __hash__(self):
+        return hash((self.probs, self.labels))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(probs={self.probs!r}, labels={self.labels!r})"
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so an unpickled copy is validated too.
+        return type(self), (self.probs, self.labels)
 
 
 class IndicatorReport(

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .distributions import _integer
-from .errors import IncompleteDistribution, ParameterOutOfRange
+from .distributions import _integer, _unit_interval
+from .errors import IncompleteDistribution
 from .indicators import TOL_SUM, Distribution, analyze, total_probability
 
 __all__ = [
@@ -28,8 +28,9 @@ __all__ = [
 # A check passes when its residual does not exceed this.
 ORACLE_TOL = 1e-12
 
-# Chunk cap for Monte-Carlo draws; bounds memory at ~128 MB for n = 16.
-_MC_CHUNK = 1 << 20
+# Values per chunk of Monte-Carlo draws: for any n a chunk's (block, n)
+# float64 array is at most 32 MB, and each of its few temporaries too.
+_MC_VALUES = 1 << 22
 
 
 class OracleResult(
@@ -74,23 +75,10 @@ def mc_max_variance(n: int, p_total: float, trials: int, seed: int) -> OracleRes
     cap p_total^2 * (n - 1) / n^2; the residual is the worst overshoot
     beyond it (0 when every sample stayed below, the expected outcome).
     """
-    n = _integer(n, "n", ParameterOutOfRange)
-    if n < 2:
-        raise ParameterOutOfRange(f"need n >= 2, got {n}")
-    try:
-        valid = 0.0 < p_total <= 1.0
-        if valid:
-            p_total = float(p_total)
-    except (TypeError, ValueError, ArithmeticError):  # not a real number
-        valid = False
-    if not valid:
-        raise ParameterOutOfRange(f"need 0 < p_total <= 1, got {p_total!r}")
-    trials = _integer(trials, "trials", ParameterOutOfRange)
-    if trials < 1:
-        raise ParameterOutOfRange(f"need trials >= 1, got {trials}")
-    seed = _integer(seed, "seed", ParameterOutOfRange)
-    if seed < 0:
-        raise ParameterOutOfRange(f"need seed >= 0, got {seed}")
+    n = _integer(n, "n", 2)
+    p_total = _unit_interval(p_total, "p_total", above_zero=True)
+    trials = _integer(trials, "trials", 1)
+    seed = _integer(seed, "seed", 0)
 
     # Imported here, its only use, so that importing equivar loads no numpy.
     import numpy as np
@@ -99,7 +87,7 @@ def mc_max_variance(n: int, p_total: float, trials: int, seed: int) -> OracleRes
     vmax = 0.0
     remaining = trials
     while remaining > 0:
-        block = min(remaining, _MC_CHUNK)
+        block = min(remaining, max(1, _MC_VALUES // n))
         x = sample_simplex(n, p_total, block, rng)
         vmax = max(vmax, float(x.var(axis=1).max()))
         remaining -= block

@@ -38,7 +38,7 @@ from .errors import (
     UnknownArea,
     ValidationFailure,
 )
-from .indicators import Distribution, _Record, analyze
+from .indicators import Distribution, analyze
 from .distributions import from_probabilities
 
 __all__ = [
@@ -78,37 +78,32 @@ RANK_KEYS = {
 }
 
 
-class AreaRecord(_Record):
-    """One ocean area: identifier plus its 8-direction probability vector."""
+class AreaRecord(namedtuple("AreaRecord", "area_id directions region")):
+    """One ocean area: identifier plus its 8-direction probability vector.
 
-    __slots__ = ("area_id", "directions", "region")
-    area_id: str
-    directions: Distribution
-    region: str | None
+    Validated on construction, copying and unpickling; an unlabelled vector
+    is given DIRECTION_LABELS.
+    """
 
-    def __init__(self, area_id, directions, region=None) -> None:
-        object.__setattr__(self, "area_id", area_id)
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "region", region)
-        self.__post_init__()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.area_id:
+    def __new__(cls, area_id: str, directions: Distribution, region: str | None = None):
+        if not area_id:
             raise ValidationFailure("area id must be non-empty")
-        if self.directions.n != 8:
-            raise BadFieldCount(
-                f"area {self.area_id!r} has {self.directions.n} directions, need 8"
-            )
-        if self.directions.labels is None:
-            object.__setattr__(
-                self,
-                "directions",
-                Distribution(self.directions.probs, DIRECTION_LABELS),
-            )
-        elif self.directions.labels != DIRECTION_LABELS:
+        if directions.n != 8:
+            raise BadFieldCount(f"area {area_id!r} has {directions.n} directions, need 8")
+        if directions.labels is None:
+            directions = Distribution(directions.probs, DIRECTION_LABELS)
+        elif directions.labels != DIRECTION_LABELS:
             raise ValidationFailure(
-                f"area {self.area_id!r} labels must be {','.join(DIRECTION_LABELS)}"
+                f"area {area_id!r} labels must be {','.join(DIRECTION_LABELS)}"
             )
+        return super().__new__(cls, area_id, directions, region)
+
+    @classmethod
+    def _make(cls, iterable):
+        # Through __new__, so that _replace validates too.
+        return cls(*iterable)
 
 
 class AreaIndicatorReport(namedtuple("AreaIndicatorReport", "area_id report")):

@@ -421,6 +421,8 @@ def test_sweep_past_float_coefficients(capsys):
         ("binomial-sweep", "--n", "1", "--p-steps", "1"),
         ("binomial-sweep", "--n", "abc", "--p-steps", "3"),
         ("binomial-sweep", "--p-steps", "3"),
+        ("binomial-sweep", "--n", ",", "--p-steps", "3"),
+        ("binomial-sweep", "--n", "5,0", "--p-steps", "3"),
     ],
 )
 def test_sweep_usage_errors(capsys, argv):
@@ -655,6 +657,8 @@ def test_oracle_cross_a64(capsys):
         ("oracle", "--check", "bounds"),                            # missing probs
         ("oracle", "--check", "cross", "--n", "3"),                 # wrong flags
         ("oracle", "--check", "nonsense", "--n", "3"),
+        ("oracle", "--check", "max-variance", "--n", "3", "--p-total", "1", "--trials", "0"),
+        ("oracle", "--check", "max-variance", "--n", "3", "--p-total", "1", "--seed", "-1"),
     ],
 )
 def test_oracle_usage_errors(capsys, argv):
@@ -690,6 +694,27 @@ def test_numeric_flags_refuse_what_a_csv_cell_refuses(capsys, argv, flag, kind, 
     code, out, err = run(capsys, *argv)
     assert code == 64 and out == ""
     assert err == f"equivar: usage error: argument {flag}: invalid {kind} value: {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("binomial-sweep", "--n", "0", "--p-steps", "3"), "need n >= 1, got 0"),
+        (("binomial-sweep", "--n", "5,0", "--p-steps", "3"), "need n >= 1, got 0"),
+        (("binomial-sweep", "--n", ",", "--p-steps", "3"),
+         "argument --n: invalid integer_list value: ','"),
+        (("binomial-sweep", "--n", "1", "--p-steps", "1"), "need p_steps >= 2, got 1"),
+        ((*_MAX_VARIANCE[:4], "1", *_MAX_VARIANCE[5:]), "need n >= 2, got 1"),
+        ((*_MAX_VARIANCE[:6], "0"), "need 0 < p_total <= 1, got 0.0"),
+        ((*_MAX_VARIANCE, "--trials", "0"), "need trials >= 1, got 0"),
+        ((*_MAX_VARIANCE, "--seed", "-1"), "need seed >= 0, got -1"),
+    ],
+    ids=["n-0", "n-5-0", "n-empty", "p-steps-1", "mc-n-1", "p-total-0", "trials-0", "seed-neg"],
+)
+def test_out_of_range_flag_values_are_usage_errors_naming_the_value(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err == f"equivar: usage error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -757,8 +782,8 @@ def test_module_entry_point():
 
 # Modules a CLI start must not load: numpy serves only the Monte-Carlo
 # oracle, the exact moments are integer arithmetic, the records need no
-# dataclass machinery (dataclasses pulls in inspect), and datetime is
-# imported only when a timestamp is printed.
+# dataclass machinery (dataclasses pulls in inspect), and the timestamp is
+# formatted by time.strftime, so nothing needs datetime.
 _UNLOADED_AT_START = ("numpy", "fractions", "dataclasses", "inspect", "datetime")
 
 
@@ -787,7 +812,7 @@ def test_cli_import_on_a_plain_interpreter_loads_neither_typing_nor_importlib_re
 
 
 def test_timestamp_is_printed_by_a_fresh_process():
-    # datetime is imported on first use, so check where nothing preloaded it.
+    # A fresh process holds only the modules the CLI itself imports.
     json_out, csv_out = (
         subprocess.run([sys.executable, "-m", "equivar", *argv],
                        capture_output=True, text=True, check=True).stdout

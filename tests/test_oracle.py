@@ -11,6 +11,7 @@ from equivar import (
     degenerate,
     from_probabilities,
     mc_max_variance,
+    oracle,
     sample_simplex,
     uniform,
     verify_sum_squares_bounds,
@@ -66,6 +67,25 @@ def test_mc_is_reproducible():
     assert a == b
     c = mc_max_variance(n=5, p_total=0.5, trials=10_000, seed=1235)
     assert c.value_found != a.value_found
+
+
+def test_mc_chunks_cap_values_so_rows_per_chunk_shrink_as_n_grows(monkeypatch):
+    # Draws come from one generator in order, so chunking moves no bit.
+    ns = (3, 12, 40)
+    want = [mc_max_variance(n, 0.75, 50, 9) for n in ns]
+    blocks = []
+    draw = oracle.sample_simplex
+
+    def spy(n, p_total, trials, rng):
+        blocks.append((n, trials))
+        return draw(n, p_total, trials, rng)
+
+    monkeypatch.setattr(oracle, "_MC_VALUES", 24)
+    monkeypatch.setattr(oracle, "sample_simplex", spy)
+    assert [mc_max_variance(n, 0.75, 50, 9) for n in ns] == want
+    for n, rows in zip(ns, (8, 2, 1)):
+        sizes = [t for m, t in blocks if m == n]
+        assert sum(sizes) == 50 and max(sizes) == rows
 
 
 @pytest.mark.parametrize(

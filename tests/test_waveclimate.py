@@ -29,6 +29,7 @@ from equivar.errors import (
     ParseError,
     SumExceedsOne,
     UnknownArea,
+    ValidationFailure,
 )
 from equivar.waveclimate import CSV_HEADER, DIRECTION_LABELS, read_vector
 
@@ -226,6 +227,16 @@ def test_round_trip_is_lossless(sample_records):
 def test_area_record_requires_eight_directions():
     with pytest.raises(BadFieldCount):
         AreaRecord("A1", from_probabilities((0.5, 0.5)))
+
+
+def test_area_record_is_a_named_tuple_that_validates_every_copy():
+    rec = AreaRecord("A", uniform(8), "P")
+    assert isinstance(rec, tuple) and rec == ("A", rec.directions, "P")
+    assert rec._replace(region=None) == AreaRecord("A", uniform(8))
+    with pytest.raises(ValidationFailure, match="^area id must be non-empty$"):
+        rec._replace(area_id="")
+    with pytest.raises(BadFieldCount, match="^area 'A' has 2 directions, need 8$"):
+        AreaRecord._make(("A", uniform(2), None))
 
 
 # ----------------------------------------------------------------------
