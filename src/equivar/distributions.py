@@ -63,9 +63,11 @@ def from_counts(counts: Sequence[int]) -> Distribution:
             whole = False
         if not whole or c < 0:
             raise ParameterOutOfRange(f"count {i} is {c!r}, need a non-negative integer")
-    total = sum(int(c) for c in counts)
+    counts = [int(c) for c in counts]
+    total = sum(counts)
     if total == 0:
         raise AllZeroCounts("every count is zero")
+    # int / int rounds the exact quotient once; each is at most 1, so none overflows.
     return Distribution(tuple(c / total for c in counts))
 
 

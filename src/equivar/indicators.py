@@ -31,13 +31,16 @@ are evaluated in exact rational arithmetic (every float is an exact binary
 rational) and rounded to float once on return. The exact sums sum(p) and
 sum(p**2) are kept as Python integers: every non-zero probability is
 multiplied by one power of two, 2**-q, where 2**q is the last mantissa bit
-of the smallest one, which turns each into an exact integer; the integers
-and their squares are summed in C. When the values span more binary orders
-than one such integer should hold, the sorted values are cut into exponent
-windows, each scaled by its own power of two, and the window sums are
-shifted onto the lowest. Each algebraic field is then one int / int true
-division, which CPython rounds correctly (CV and its relative form take
-the square root of one).
+of the smallest one (math.ldexp), which makes each an exactly integral
+float that math.trunc converts to a Python integer; the integers and their
+squares are summed in C. The smallest and largest values are the ones
+validation already found: a Distribution keeps them, and analyze passes
+them to the kernel instead of scanning the vector again. When the values
+span more binary orders than one such integer should hold, the sorted
+values are cut into exponent windows, each scaled by its own power of
+two, and the window sums are shifted onto the lowest. Each algebraic
+field is then one int / int true division, which CPython rounds
+correctly (CV and its relative form take the square root of one).
 Identities between them therefore hold to the last ulp: a uniform vector
 has CV exactly 0, the closed form of CV agrees exactly with sigma/mean, and
 the duality residual stays at rounding level (~1e-16) for any valid input.
@@ -125,7 +128,9 @@ class Distribution:
     file readers do.
     """
 
-    __slots__ = ("probs", "labels")
+    # _extremes is (min(probs), max(probs)), kept from validation so that
+    # the moment kernel need not scan the values for them again.
+    __slots__ = ("probs", "labels", "_extremes")
     probs: tuple[float, ...]
     labels: tuple[str, ...] | None
 
@@ -161,10 +166,12 @@ class Distribution:
         # fails the test. A vector that fails it is judged on the
         # correctly rounded fsum, and its first bad value is named.
         total = sum(probs)
+        lo = min(probs)
+        hi = max(probs)
         if not (
             total * (1.0 + len(probs) * 2.0**-52) <= 1.0 + TOL_SUM
-            and min(probs) >= 0.0
-            and max(probs) <= 1.0
+            and lo >= 0.0
+            and hi <= 1.0
         ):
             try:
                 total = math.fsum(probs)  # NaN if any value is NaN
@@ -185,6 +192,7 @@ class Distribution:
             raise LabelLengthMismatch(
                 f"{len(self.labels)} labels for {len(probs)} probabilities"
             )
+        object.__setattr__(self, "_extremes", (lo, hi))
 
     @property
     def n(self) -> int:
@@ -250,13 +258,16 @@ def _scaled_sums(values: Sequence[float], q: int) -> tuple[int, int]:
 
     Every value must be an integer multiple of 2**q, so each product is an
     exact integer below 2**(53 + W), which ldexp forms without rounding
-    even where 2**-q itself exceeds the float range.
+    even where 2**-q itself exceeds the float range. math.trunc turns each
+    into the same int as int() does, with less call overhead.
     """
-    ks = list(map(int, map(math.ldexp, values, repeat(-q))))
+    ks = list(map(math.trunc, map(math.ldexp, values, repeat(-q))))
     return sum(ks), sum(map(mul, ks, ks))
 
 
-def _moments(probs: Sequence[float]) -> tuple[int, int, int, Sequence[float]]:
+def _moments(
+    probs: Sequence[float], extremes: tuple[float, float] | None = None
+) -> tuple[int, int, int, Sequence[float]]:
     """Exact sums of the probabilities and of their squares, as integers.
 
     Returns ``(s, s2, b, nonzero)`` with sum(p) == s / 2**b and sum(p**2) ==
@@ -265,7 +276,9 @@ def _moments(probs: Sequence[float]) -> tuple[int, int, int, Sequence[float]]:
     order when one window holds them all, and largest first when they were
     sorted into windows, so :func:`analyze` reuses that sort for entropy.
     Takes any finite non-negative floats; b < 0 only when every non-zero
-    value is at least 2**53.
+    value is at least 2**53. ``extremes``, when given, must be
+    ``(min(probs), max(probs))``, as a :class:`Distribution` keeps them;
+    the values are then not scanned for them again.
 
     With 2**q the last mantissa bit of the smallest non-zero value, every
     value is an integer multiple of 2**q. When the largest value is below
@@ -276,14 +289,13 @@ def _moments(probs: Sequence[float]) -> tuple[int, int, int, Sequence[float]]:
     each window is scaled by its own power of two and its sums are shifted
     onto the lowest window's.
     """
-    lo = min(probs)
+    lo, hi = (min(probs), max(probs)) if extremes is None else extremes
     if not lo:
         # Zeros add nothing to either sum: drop them once.
         probs = list(filter(None, probs))
         if not probs:
             return 0, 0, 0, probs
         lo = min(probs)
-    hi = max(probs)
     q = _ulp_exponent(lo)
     if math.frexp(hi)[1] <= q + 53 + W:
         s, s2 = _scaled_sums(probs, q)
@@ -337,7 +349,7 @@ def total_probability(dist: Distribution) -> float:
 
 def mean_probability(dist: Distribution) -> float:
     """Arithmetic mean of the N probabilities, total / N."""
-    s, _, b, _ = _moments(dist.probs)
+    s, _, b, _ = _moments(dist.probs, dist._extremes)
     return s / (dist.n << b)
 
 
@@ -347,7 +359,7 @@ def variance(dist: Distribution) -> float:
     Exact evaluation keeps the result non-negative by construction, so no
     round-off clamp is needed.
     """
-    s, s2, b, _ = _moments(dist.probs)
+    s, s2, b, _ = _moments(dist.probs, dist._extremes)
     n = dist.n
     return (n * s2 - s * s) / (n * n << 2 * b)
 
@@ -358,7 +370,7 @@ def reference_variance(dist: Distribution) -> float:
     Reached in the limit where one probability carries the whole total and
     the rest vanish: p_total^2 * (N - 1) / N^2.
     """
-    s, _, b, _ = _moments(dist.probs)
+    s, _, b, _ = _moments(dist.probs, dist._extremes)
     n = dist.n
     return s * s * (n - 1) / (n * n << 2 * b)
 
@@ -450,7 +462,7 @@ def duality_check(dist: Distribution) -> tuple[float, float]:
     identity is checked on the exact ratio instead.
     """
     n = dist.n
-    s, s2, b, _ = _moments(dist.probs)
+    s, s2, b, _ = _moments(dist.probs, dist._extremes)
     if s == 0:
         raise AllImpossible("duality undefined: zero total probability")
     d, g, rhs, residual = _duality(n, s, s2, b)
@@ -469,7 +481,7 @@ def analyze(dist: Distribution) -> IndicatorReport:
     mean-relative indicators are undefined there.
     """
     n = dist.n
-    s, s2, b, nonzero = _moments(dist.probs)
+    s, s2, b, nonzero = _moments(dist.probs, dist._extremes)
     if s == 0:
         raise AllImpossible("indicators undefined: zero total probability")
 

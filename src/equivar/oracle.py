@@ -142,8 +142,24 @@ def verify_sum_squares_bounds(dist: Distribution) -> OracleResult:
 
 def _rel(a: float, b: float) -> float:
     # Relative difference with an absolute floor of 1, so near-zero pairs
-    # compare on an absolute scale instead of blowing up.
+    # compare on an absolute scale instead of blowing up. Equal values,
+    # two infinities among them, agree; any other pair with an infinity
+    # or a NaN disagrees without bound.
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _quotient(num: float, den: float) -> float:
+    # analyze's rule for a float result past the float range: a positive
+    # num over a den that underflowed to 0 is inf, as the true quotient
+    # overflows; 0 / 0 is undefined and gives NaN, which _rel refuses.
+    try:
+        return num / den
+    except ZeroDivisionError:
+        return math.inf if num else math.nan
 
 
 def cross_check_report(dist: Distribution) -> OracleResult:
@@ -153,6 +169,12 @@ def cross_check_report(dist: Distribution) -> OracleResult:
     D direct (1 / sum p^2) vs the identity N / (p_total^2 * G); F through
     natural-log entropy and e**x vs the base-2 path; plus the plain moments.
     value_found is the largest relative disagreement (reference 0).
+
+    As in :func:`analyze`, a float quotient or power past the float range
+    is inf on this path too, and two infinities agree. This path rounds
+    each p * p and p * ln p in floats, so it cannot vouch for a vector
+    whose terms fall in the subnormal range (below about 2.2e-308): there
+    it may report a disagreement that the exact path does not have.
     """
     report = analyze(dist)  # raises AllImpossible on zero mass
     probs = dist.probs
@@ -161,15 +183,18 @@ def cross_check_report(dist: Distribution) -> OracleResult:
     pt = math.fsum(probs)
     pbar = pt / n
     var_dev = math.fsum((p - pbar) ** 2 for p in probs) / n
-    cv_dev = math.sqrt(var_dev) / pbar
+    cv_dev = _quotient(math.sqrt(var_dev), pbar)
     cv_rel_dev = 0.0 if n == 1 else cv_dev / math.sqrt(n - 1)
 
     s2 = math.fsum(p * p for p in probs)
-    d_direct = 1.0 / s2
-    d_identity = n / (pt * pt * report.equiv_number_g)
+    d_direct = _quotient(1.0, s2)
+    d_identity = _quotient(n, pt * pt * report.equiv_number_g)
 
     h_nats = -math.fsum(p * math.log(p) for p in probs if p > 0.0) / pt
-    f_nats = math.exp(h_nats)
+    try:
+        f_nats = math.exp(h_nats)
+    except OverflowError:
+        f_nats = math.inf
 
     residuals = {
         "p_total": _rel(report.p_total, pt),

@@ -33,6 +33,13 @@ def payload_of(out: str) -> dict:
     return doc["payload"]
 
 
+def strict_payload(out: str) -> dict:
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(out, parse_constant=reject)["payload"]
+
+
 def csv_rows(out: str) -> list[str]:
     return [line for line in out.splitlines() if line and not line.startswith("#")]
 
@@ -322,11 +329,7 @@ def test_infinite_fields_are_strict_json(capsys):
         capsys, "analyze", "--probs", "1e-320", "--probs", "1e-320", "--no-timestamp"
     )
     assert code == 0
-
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    body = json.loads(out, parse_constant=reject)["payload"]
+    body = strict_payload(out)
     assert body["equiv_number_d"] == "Infinity"
     assert body["avg_number_f"] == "Infinity"
     assert body["equiv_number_g"] == 1.0
@@ -647,6 +650,26 @@ def test_oracle_cross_a64(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert payload_of(out)["residual"] <= 1e-12
+
+
+def test_oracle_cross_where_the_float_sums_underflow(capsys):
+    code, out, err = run(
+        capsys, "oracle", "--check", "cross", "--probs", "1e-200", "--probs", "1e-200",
+        "--no-timestamp",
+    )
+    assert code == 0 and err == ""
+    assert strict_payload(out)["residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("probs", [["5e-324"], ["5e-324", "0", "0"]])
+def test_oracle_cross_on_subnormal_terms_ends_in_a_result(capsys, probs):
+    argv = ["oracle", "--check", "cross", "--no-timestamp"]
+    for p in probs:
+        argv += ["--probs", p]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    body = strict_payload(out)
+    assert (code == 0) == (body["residual"] != "Infinity" and body["residual"] <= 1e-12)
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,13 @@ def test_from_counts():
         from_counts((math.inf, 2))
 
 
+def test_from_counts_divides_whole_counts_exactly():
+    # The total of these float counts is past the float range.
+    assert from_counts([1e308, 1e308]).probs == (0.5, 0.5)
+    # 2**54 + 2 has no float; int / int rounds 2**54 / (2**54 + 2) once.
+    assert from_counts([2.0**54, 1.0, 1.0]).probs[0] == 1.0 - 2.0**-53
+
+
 @pytest.mark.parametrize(
     "make, error, message",
     [

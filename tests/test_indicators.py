@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equivar import (
@@ -36,6 +36,7 @@ from equivar.errors import (
     ProbabilityAboveOne,
     SumExceedsOne,
 )
+from equivar.indicators import TOL_SUM, _moments
 
 from conftest import A64_PROBS, A86_PROBS, random_distribution
 
@@ -428,3 +429,100 @@ def test_closed_form_matches_deviation_form(dist):
     lhs = coefficient_of_variation(dist)
     rhs = sigma / pbar
     assert abs(lhs - rhs) / max(1.0, lhs, rhs) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# the extremes validation keeps for the moment kernel
+
+
+@st.composite
+def accepted_vectors(draw):
+    """Vectors validation accepts: zero-padded, subnormal, totals just past 1."""
+    values = draw(
+        st.lists(
+            st.floats(0.0, 1.0) | st.sampled_from([5e-324, 1e-310, 2.2e-308]),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    total = math.fsum(values)
+    if total > 1.0 or (total > 0.0 and draw(st.booleans())):
+        # Rescaled to a total in [0.05, 1], or to one just below 1 + TOL_SUM:
+        # the plain-sum test rejects those, so they are accepted through fsum.
+        top = 1.0 + TOL_SUM
+        target = draw(st.floats(0.05, 1.0) | st.floats(top - 2.0**-48, top))
+        values = [v / total * target for v in values]
+    values += [0.0] * draw(st.integers(0, 3))
+    values = draw(st.permutations(values))
+    try:
+        return Distribution(values)
+    except (SumExceedsOne, ProbabilityAboveOne):  # rounded past the bounds
+        assume(False)
+
+
+# Past the plain-sum test's margin, so accepted only through fsum.
+FSUM_ACCEPTED = [0.5, 0.5 + TOL_SUM, 0.0]
+
+
+def test_the_fsum_example_is_past_the_plain_sum_test():
+    total = sum(FSUM_ACCEPTED)
+    assert total * (1.0 + len(FSUM_ACCEPTED) * 2.0**-52) > 1.0 + TOL_SUM
+    assert math.fsum(FSUM_ACCEPTED) <= 1.0 + TOL_SUM
+
+
+@given(accepted_vectors())
+@settings(max_examples=300, deadline=None)
+@example(Distribution(FSUM_ACCEPTED))
+@example(Distribution([0.0, 0.0]))
+@example(Distribution([-0.0, 0.5]))
+@example(Distribution([5e-324, 0.0, 1e-310]))
+@example(Distribution([0.5, 1e-300, 0.0, 5e-324]))  # several exponent windows
+def test_kept_extremes_are_the_scanned_ones_and_move_no_moment(dist):
+    probs = dist.probs
+    assert dist._extremes == (min(probs), max(probs))
+    assert _moments(probs, dist._extremes) == _moments(probs)
+
+
+def _count_scans(monkeypatch) -> dict:
+    """Count min() and max() over one iterable in equivar.indicators.
+
+    Two-argument calls such as max(e, -1074) compare, they do not scan.
+    """
+    import equivar.indicators as ind
+
+    scans = {"min": 0, "max": 0}
+
+    def counting(name, builtin):
+        def wrapper(*args, **kwargs):
+            if len(args) == 1:
+                scans[name] += 1
+            return builtin(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ind, "min", counting("min", min), raising=False)
+    monkeypatch.setattr(ind, "max", counting("max", max), raising=False)
+    return scans
+
+
+@pytest.mark.parametrize(
+    "probs, scans",
+    [
+        (A64_PROBS, {"min": 1, "max": 1}),
+        ([0.5, 0.25, 1e-30, 1e-300], {"min": 1, "max": 1}),  # exponent windows
+        # Zeros are dropped in the kernel, which then finds the non-zero minimum.
+        ([0.5, 0.0, 0.25], {"min": 2, "max": 1}),
+    ],
+    ids=["zero-free", "zero-free-wide", "zero-padded"],
+)
+def test_validation_alone_scans_a_vector_for_its_extremes(monkeypatch, probs, scans):
+    seen = _count_scans(monkeypatch)
+    dist = from_probabilities(probs)
+    assert seen == {"min": 1, "max": 1}
+    analyze(dist)
+    assert seen == scans
+    for view in (mean_probability, variance, reference_variance, duality_check):
+        before = dict(seen)
+        view(dist)
+        assert seen["max"] == before["max"]
+        assert seen["min"] - before["min"] == scans["min"] - 1

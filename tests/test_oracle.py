@@ -1,5 +1,6 @@
 """Unit tests for the Monte-Carlo and cross-path validators."""
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from equivar import (
+    analyze,
     cross_check_report,
     degenerate,
     from_probabilities,
@@ -17,6 +19,7 @@ from equivar import (
     verify_sum_squares_bounds,
 )
 from equivar.errors import IncompleteDistribution, ParameterOutOfRange
+from equivar.oracle import _rel
 
 from conftest import A64_PROBS, A86_PROBS, random_distribution
 
@@ -201,3 +204,26 @@ def test_cross_check_degenerate_cases():
     for n in (1, 2, 8):
         assert cross_check_report(uniform(n)).residual <= 1e-12
         assert cross_check_report(degenerate(n)).residual <= 1e-12
+
+
+def test_cross_check_agrees_where_the_float_sums_underflow():
+    # sum(p^2) and p_total^2 underflow to 0 in floats; D is inf on both paths.
+    dist = from_probabilities([1e-200, 1e-200])
+    assert analyze(dist).equiv_number_d == math.inf
+    assert cross_check_report(dist).residual <= 1e-12
+
+
+@pytest.mark.parametrize("probs", [[5e-324], [5e-324, 0.0, 0.0], [1e-320, 1e-320]])
+def test_cross_check_on_subnormal_terms_ends_in_a_result(probs):
+    # The float path rounds p * ln p in the subnormal range, so it may
+    # disagree; it must still return a result, with no NaN in it.
+    res = cross_check_report(from_probabilities(probs))
+    assert res.residual >= 0.0 and res.value_found == res.residual
+
+
+def test_rel_treats_infinities_as_analyze_does():
+    assert _rel(math.inf, math.inf) == 0.0
+    assert _rel(math.inf, 1e308) == math.inf
+    assert _rel(2.0, math.inf) == math.inf
+    assert _rel(math.nan, math.nan) == math.inf
+    assert _rel(3.0, 1.0) == 2.0 / 3.0

@@ -16,6 +16,7 @@ from equivar import (
     verify_sum_squares_bounds,
 )
 from equivar.errors import (
+    AllImpossible,
     BadFieldCount,
     EmptyInput,
     LabelLengthMismatch,
@@ -155,6 +156,30 @@ def test_invalid_arguments_raise_the_typed_error_and_message(make, error, messag
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         make()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+@pytest.mark.parametrize(
+    "probs",
+    [A64_PROBS, [0.5, 0.0, 1e-300, 0.25], [5e-324, 0.0], [0.0, 0.0]],
+    ids=["a64", "wide-zero-padded", "subnormal", "all-zero"],
+)
+def test_copies_of_a_distribution_analyze_to_the_same_bits(clone, probs):
+    def bits(report):
+        return tuple(v.hex() if isinstance(v, float) else v for v in report)
+
+    dist = from_probabilities(probs)
+    twin = clone(dist)
+    # The copy is rebuilt through the constructor, which finds the extremes anew.
+    assert twin._extremes == dist._extremes
+    if not any(probs):
+        with pytest.raises(AllImpossible):
+            analyze(twin)
+        return
+    assert bits(analyze(twin)) == bits(analyze(dist))
 
 
 def test_construction_and_unpickling_call_the_patched_post_init(monkeypatch):
