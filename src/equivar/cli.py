@@ -142,8 +142,6 @@ def _read_input(path: str) -> bytes:
 # subcommands
 
 def _cmd_analyze(args) -> int:
-    if (args.probs is None) == (args.input is None):
-        raise _UsageError("give exactly one input source: --probs or --input")
     if args.probs is not None:
         values, labels = args.probs, None
     else:
@@ -248,10 +246,11 @@ def build_parser() -> _Parser:
             "--probs flags or as a file (--input with --format)."
         ),
     )
-    p.add_argument("--probs", type=probability, action="append", metavar="P",
-                   help="one outcome probability; repeat per outcome")
-    p.add_argument("--input", metavar="FILE",
-                   help="read the vector from FILE instead of --probs")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--probs", type=probability, action="append", metavar="P",
+                        help="one outcome probability; repeat per outcome")
+    source.add_argument("--input", metavar="FILE",
+                        help="read the vector from FILE instead of --probs")
     p.add_argument("--format", choices=["csv", "json"], default="csv",
                    help="input file format (default csv: comma-separated values)")
     p.add_argument("--output", metavar="FILE", help="write here instead of stdout")

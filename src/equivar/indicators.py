@@ -20,11 +20,11 @@ indicators fall into two families:
 D and G are tied together by the duality D * G = N / p_total**2, which
 every report carries as a computed residual.
 
-Each formula is written once, in :func:`analyze`. The scalar functions for
-CV, cv, H, H_rel, F, G and D return one field of its report (the same bits)
-and, like it, raise AllImpossible on an all-zero vector. The total, mean,
-variance, reference variance and Shannon entropy are computed apart and
-are 0.0 there; duality_check adds a log-form check the report lacks.
+Each formula is written in :func:`analyze`. The views of CV, cv, H, H_rel,
+F, G and D return one field of its report (the same bits) and, like it,
+raise AllImpossible on an all-zero vector. The total, mean, variance,
+reference variance and Shannon entropy are computed apart (the middle three
+repeat analyze's formulas) and are 0.0 there; duality_check adds a log form.
 
 Numerical contract: the algebraic indicators (sums, variance, CV, D, G)
 are evaluated in exact rational arithmetic (every float is an exact binary
@@ -163,8 +163,8 @@ class Distribution:
         # [0, 1], the plain float sum errs by at most about n * 2**-53 of
         # the exact total, so a plain sum that clears the bound by that
         # margin proves the exact one does. A NaN makes the sum NaN and
-        # fails the test. A vector that fails it is judged on the
-        # correctly rounded fsum, and its first bad value is named.
+        # fails the test. A vector that fails it has its first bad value named,
+        # or else the correctly rounded fsum of its values in [0, 1] judges it.
         total = sum(probs)
         lo = min(probs)
         hi = max(probs)
@@ -173,10 +173,6 @@ class Distribution:
             and lo >= 0.0
             and hi <= 1.0
         ):
-            try:
-                total = math.fsum(probs)  # NaN if any value is NaN
-            except (OverflowError, ValueError):  # inf - inf, or values near the float limit
-                total = math.nan
             for i, p in enumerate(probs):
                 if not math.isfinite(p):
                     raise NonFinite(f"probability {i} is {p!r}")
@@ -184,6 +180,7 @@ class Distribution:
                     raise NegativeProbability(f"probability {i} is {p!r}")
                 if p > 1.0:
                     raise ProbabilityAboveOne(f"probability {i} is {p!r}")
+            total = math.fsum(probs)
             if not total <= 1.0 + TOL_SUM:
                 raise SumExceedsOne(
                     f"probabilities sum to {total!r}, above 1 + {TOL_SUM:g}"
@@ -266,7 +263,7 @@ def _scaled_sums(values: Sequence[float], q: int) -> tuple[int, int]:
 
 
 def _moments(
-    probs: Sequence[float], extremes: tuple[float, float] | None = None
+    probs: Sequence[float], extremes: tuple[float, float]
 ) -> tuple[int, int, int, Sequence[float]]:
     """Exact sums of the probabilities and of their squares, as integers.
 
@@ -276,9 +273,9 @@ def _moments(
     order when one window holds them all, and largest first when they were
     sorted into windows, so :func:`analyze` reuses that sort for entropy.
     Takes any finite non-negative floats; b < 0 only when every non-zero
-    value is at least 2**53. ``extremes``, when given, must be
-    ``(min(probs), max(probs))``, as a :class:`Distribution` keeps them;
-    the values are then not scanned for them again.
+    value is at least 2**53. ``extremes`` must be ``(min(probs),
+    max(probs))``, as a :class:`Distribution` keeps them, so the values are
+    not scanned for them again.
 
     With 2**q the last mantissa bit of the smallest non-zero value, every
     value is an integer multiple of 2**q. When the largest value is below
@@ -289,7 +286,7 @@ def _moments(
     each window is scaled by its own power of two and its sums are shifted
     onto the lowest window's.
     """
-    lo, hi = (min(probs), max(probs)) if extremes is None else extremes
+    lo, hi = extremes
     if not lo:
         # Zeros add nothing to either sum: drop them once.
         probs = list(filter(None, probs))

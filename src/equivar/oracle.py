@@ -171,26 +171,30 @@ def cross_check_report(dist: Distribution) -> OracleResult:
     value_found is the largest relative disagreement (reference 0).
 
     As in :func:`analyze`, a float quotient or power past the float range
-    is inf on this path too, and two infinities agree. This path rounds
-    each p * p and p * ln p in floats, so it cannot vouch for a vector
-    whose terms fall in the subnormal range (below about 2.2e-308): there
-    it may report a disagreement that the exact path does not have.
+    is inf on this path too, and two infinities agree. Deviations and
+    entropy terms are formed on the weights w = p * 2**k, with k taking
+    their total into [1, 2): exact scaling, so no bit moves in the normal
+    range, and tiny vectors are checked clear of underflow. The check fails
+    on ``[1e-320, 1e-320]``, where analyze's own entropy terms are subnormal.
     """
     report = analyze(dist)  # raises AllImpossible on zero mass
     probs = dist.probs
     n = len(probs)
 
     pt = math.fsum(probs)
-    pbar = pt / n
-    var_dev = math.fsum((p - pbar) ** 2 for p in probs) / n
-    cv_dev = _quotient(math.sqrt(var_dev), pbar)
+    k = 1 - math.frexp(pt)[1]
+    weights = [math.ldexp(p, k) for p in probs]
+    wt = math.ldexp(pt, k)
+    wbar = wt / n
+    var_w = math.fsum((w - wbar) ** 2 for w in weights) / n
+    cv_dev = math.sqrt(var_w) / wbar
     cv_rel_dev = 0.0 if n == 1 else cv_dev / math.sqrt(n - 1)
 
     s2 = math.fsum(p * p for p in probs)
     d_direct = _quotient(1.0, s2)
     d_identity = _quotient(n, pt * pt * report.equiv_number_g)
 
-    h_nats = -math.fsum(p * math.log(p) for p in probs if p > 0.0) / pt
+    h_nats = -math.fsum(w * math.log(p) for w, p in zip(weights, probs) if p > 0.0) / wt
     try:
         f_nats = math.exp(h_nats)
     except OverflowError:
@@ -198,8 +202,8 @@ def cross_check_report(dist: Distribution) -> OracleResult:
 
     residuals = {
         "p_total": _rel(report.p_total, pt),
-        "p_mean": _rel(report.p_mean, pbar),
-        "variance": _rel(report.variance, var_dev),
+        "p_mean": _rel(report.p_mean, pt / n),
+        "variance": _rel(report.variance, math.ldexp(var_w, -2 * k)),
         "cv(sigma/mean)": _rel(report.cv, cv_dev),
         "cv_rel": _rel(report.cv_rel, cv_rel_dev),
         "d(direct)": _rel(report.equiv_number_d, d_direct),

@@ -267,12 +267,11 @@ def _add_area(
 
 def _parse_csv(text: str) -> list[AreaRecord]:
     lines = text.splitlines()
-    if not lines or lines[0].strip("\r") != CSV_HEADER:
-        got = lines[0].strip("\r") if lines else "<empty input>"
+    if not lines or lines[0] != CSV_HEADER:
+        got = lines[0] if lines else "<empty input>"
         raise MalformedHeader(f"header must be {CSV_HEADER!r}, got {got!r}", row=1)
     records: dict[str, AreaRecord] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip("\r")
         if not line:
             continue
         fields = line.split(",")

@@ -661,13 +661,24 @@ def test_oracle_cross_where_the_float_sums_underflow(capsys):
     assert strict_payload(out)["residual"] <= 1e-12
 
 
-@pytest.mark.parametrize("probs", [["5e-324"], ["5e-324", "0", "0"]])
+# Exit code of the cross check per vector: 1 where analyze's own entropy
+# terms p * log2 p are all subnormal and lose digits, 0 where it is exact.
+_SUBNORMAL_CROSS_EXIT = {
+    ("5e-324",): 0,
+    ("5e-324", "0", "0"): 0,
+    ("3e-320", "1e-320"): 1,
+    ("1e-320", "1e-320"): 1,
+}
+
+
+@pytest.mark.parametrize("probs", list(_SUBNORMAL_CROSS_EXIT))
 def test_oracle_cross_on_subnormal_terms_ends_in_a_result(capsys, probs):
     argv = ["oracle", "--check", "cross", "--no-timestamp"]
     for p in probs:
         argv += ["--probs", p]
     code, out, err = run(capsys, *argv)
     assert code in (0, 1) and err == ""
+    assert code == _SUBNORMAL_CROSS_EXIT[probs]
     body = strict_payload(out)
     assert (code == 0) == (body["residual"] != "Infinity" and body["residual"] <= 1e-12)
 
@@ -682,11 +693,14 @@ def test_oracle_cross_on_subnormal_terms_ends_in_a_result(capsys, probs):
         ("oracle", "--check", "nonsense", "--n", "3"),
         ("oracle", "--check", "max-variance", "--n", "3", "--p-total", "1", "--trials", "0"),
         ("oracle", "--check", "max-variance", "--n", "3", "--p-total", "1", "--seed", "-1"),
+        ("oracle", "--check", "max-variance", "--n", "3", "--p-total", "1", "--probs", "0.5"),
+        ("oracle", "--check", "cross", "--probs", "0.5", "--probs", "0.5", "--n", "3"),
     ],
 )
 def test_oracle_usage_errors(capsys, argv):
-    code, _, _ = run(capsys, *argv)
+    code, _, err = run(capsys, *argv)
     assert code == 64
+    assert err.startswith("equivar: usage error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cell", ["0.2_5", "\u0660.\u0665"], ids=["underscore", "arabic-indic-digits"])

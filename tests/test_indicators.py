@@ -50,6 +50,7 @@ RTOL = 1e-12
 def test_valid_construction_with_labels():
     d = Distribution((0.5, 0.5), ("heads", "tails"))
     assert d.n == 2
+    assert len(d) == 2 and list(iter(d)) == [0.5, 0.5]
     assert d.labels == ("heads", "tails")
 
 
@@ -480,7 +481,7 @@ def test_the_fsum_example_is_past_the_plain_sum_test():
 def test_kept_extremes_are_the_scanned_ones_and_move_no_moment(dist):
     probs = dist.probs
     assert dist._extremes == (min(probs), max(probs))
-    assert _moments(probs, dist._extremes) == _moments(probs)
+    assert _moments(probs, dist._extremes) == _moments(probs, (min(probs), max(probs)))
 
 
 def _count_scans(monkeypatch) -> dict:

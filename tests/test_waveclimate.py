@@ -54,7 +54,7 @@ def sample_records():
 
 
 def test_parse_observed_rows():
-    records = parse_area_table(table(A64_ROW, A86_ROW), "csv")
+    records = parse_area_table(table(A64_ROW, "", A86_ROW), "csv")  # a blank row is skipped
     assert [r.area_id for r in records] == ["A64", "A86"]
     assert records[0].directions.probs == A64_PROBS
     assert math.fsum(records[0].directions.probs) == pytest.approx(0.9798, abs=1e-15)
@@ -152,6 +152,10 @@ def test_parse_json():
     assert records[0].region == "eastern Pacific"
     assert records[1].region is None
     assert records[0].directions.probs == A64_PROBS
+    # Written back, a region is kept and an absent one stays absent.
+    text = format_area_table(records, "json")
+    assert json.loads(text) == doc
+    assert parse_area_table(text, "json") == records
 
 
 def test_parse_json_errors():
@@ -222,6 +226,8 @@ def test_round_trip_is_lossless(sample_records):
         assert [r.area_id for r in again] == [r.area_id for r in sample_records]
         for a, b in zip(again, sample_records):
             assert a.directions.probs == b.directions.probs
+    with pytest.raises(ParseError, match="unknown format 'xml'"):
+        format_area_table(sample_records, "xml")
 
 
 def test_area_record_requires_eight_directions():
