@@ -20,11 +20,11 @@ indicators fall into two families:
 D and G are tied together by the duality D * G = N / p_total**2, which
 every report carries as a computed residual.
 
-Each formula is written in :func:`analyze`. The views of CV, cv, H, H_rel,
-F, G and D return one field of its report (the same bits) and, like it,
+Each formula is written once. The views of CV, cv, H, H_rel, F, G and D
+return one field of :func:`analyze`'s report (the same bits) and, like it,
 raise AllImpossible on an all-zero vector. The total, mean, variance,
-reference variance and Shannon entropy are computed apart (the middle three
-repeat analyze's formulas) and are 0.0 there; duality_check adds a log form.
+reference variance and Shannon entropy are 0.0 there; duality_check adds a
+log form.
 
 Numerical contract: the algebraic indicators (sums, variance, CV, D, G)
 are evaluated in exact rational arithmetic (every float is an exact binary
@@ -113,7 +113,6 @@ def _first_non_number(values: tuple) -> EquivarError:
             return NonNumericProbability(f"probability {i} is past the float range")
         except (TypeError, ValueError):
             return NonNumericProbability(f"probability {i} is not a number: {value!r}")
-    return ValidationFailure(f"probabilities must be numbers, got {values!r}")
 
 
 class Distribution:
@@ -339,6 +338,19 @@ def _duality(n: int, s: int, s2: int, b: int) -> tuple[float, float, float, floa
     return d, g, rhs, 0.0
 
 
+def _exact_fields(dist: Distribution) -> tuple[tuple, dict]:
+    """The kernel's ``(s, s2, b, nonzero)`` and the report fields it alone fixes, 0.0 if s == 0."""
+    n = dist.n
+    s, s2, b, _ = kernel = _moments(dist.probs, dist._extremes)
+    return kernel, {
+        "p_total": s / (1 << b),
+        "p_mean": s / (n << b),
+        # Exact, so non-negative by construction: no round-off clamp.
+        "variance": (n * s2 - s * s) / (n * n << 2 * b),
+        "ref_variance": s * s * (n - 1) / (n * n << 2 * b),
+    }
+
+
 def total_probability(dist: Distribution) -> float:
     """Sum of all outcome probabilities (1 for complete, less when incomplete)."""
     return math.fsum(dist.probs)
@@ -346,19 +358,12 @@ def total_probability(dist: Distribution) -> float:
 
 def mean_probability(dist: Distribution) -> float:
     """Arithmetic mean of the N probabilities, total / N."""
-    s, _, b, _ = _moments(dist.probs, dist._extremes)
-    return s / (dist.n << b)
+    return _exact_fields(dist)[1]["p_mean"]
 
 
 def variance(dist: Distribution) -> float:
-    """Population variance of the probability values, (1/N) sum p_i^2 - mean^2.
-
-    Exact evaluation keeps the result non-negative by construction, so no
-    round-off clamp is needed.
-    """
-    s, s2, b, _ = _moments(dist.probs, dist._extremes)
-    n = dist.n
-    return (n * s2 - s * s) / (n * n << 2 * b)
+    """Population variance of the probability values, (1/N) sum p_i^2 - mean^2."""
+    return _exact_fields(dist)[1]["variance"]
 
 
 def reference_variance(dist: Distribution) -> float:
@@ -367,9 +372,7 @@ def reference_variance(dist: Distribution) -> float:
     Reached in the limit where one probability carries the whole total and
     the rest vanish: p_total^2 * (N - 1) / N^2.
     """
-    s, _, b, _ = _moments(dist.probs, dist._extremes)
-    n = dist.n
-    return s * s * (n - 1) / (n * n << 2 * b)
+    return _exact_fields(dist)[1]["ref_variance"]
 
 
 def coefficient_of_variation(dist: Distribution) -> float:
@@ -400,8 +403,8 @@ def _entropy(nonzero: Sequence[float]) -> float:
 def shannon_entropy(dist: Distribution) -> float:
     """Shannon entropy -sum(p * log2 p) in bits, with 0 * log 0 = 0."""
     probs = dist.probs
-    if 0.0 in probs:
-        probs = tuple(filter(None, probs))
+    if not dist._extremes[0]:
+        probs = list(filter(None, probs))  # the kernel's rule: drop the zeros once
     return _entropy(probs)
 
 
@@ -459,13 +462,13 @@ def duality_check(dist: Distribution) -> tuple[float, float]:
     identity is checked on the exact ratio instead.
     """
     n = dist.n
-    s, s2, b, _ = _moments(dist.probs, dist._extremes)
+    (s, s2, b, _), fields = _exact_fields(dist)
     if s == 0:
         raise AllImpossible("duality undefined: zero total probability")
     d, g, rhs, residual = _duality(n, s, s2, b)
     product = d * g
     if math.isfinite(product) and math.isfinite(rhs):
-        log_rhs = math.log(n) - 2.0 * math.log(s / (1 << b))
+        log_rhs = math.log(n) - 2.0 * math.log(fields["p_total"])
         log_residual = abs(math.log(d) + math.log(g) - log_rhs) / max(1.0, abs(log_rhs))
         residual = max(residual, log_residual)
     return product, residual
@@ -478,18 +481,17 @@ def analyze(dist: Distribution) -> IndicatorReport:
     mean-relative indicators are undefined there.
     """
     n = dist.n
-    s, s2, b, nonzero = _moments(dist.probs, dist._extremes)
+    (s, s2, b, nonzero), fields = _exact_fields(dist)
     if s == 0:
         raise AllImpossible("indicators undefined: zero total probability")
 
-    p_total = s / (1 << b)
     ss = s * s
     # ss * CV^2 == N^2 * 4**b * variance; >= 0 by Cauchy-Schwarz
     spread = n * s2 - ss
     cv = math.sqrt(spread / ss)
     cv_rel = 0.0 if n == 1 else math.sqrt(spread / ((n - 1) * ss))
 
-    h_bits = _entropy(nonzero) / p_total
+    h_bits = _entropy(nonzero) / fields["p_total"]
     h_rel = 0.0 if n == 1 else h_bits / math.log2(n)
     try:
         f = 2.0 ** h_bits
@@ -499,10 +501,7 @@ def analyze(dist: Distribution) -> IndicatorReport:
     d, g, _, residual = _duality(n, s, s2, b)
     return IndicatorReport(
         n_outcomes=n,
-        p_total=p_total,
-        p_mean=s / (n << b),
-        variance=spread / (n * n << 2 * b),
-        ref_variance=ss * (n - 1) / (n * n << 2 * b),
+        **fields,
         cv=cv,
         cv_rel=cv_rel,
         entropy_bits=h_bits,

@@ -9,8 +9,8 @@ exception type. Entropy and validation are held to 0.1.0's per-value loops
 the same way: the same bits, the same error type and message. The reports
 are checked against an entropy of their own (0.1.0's term loop), not the
 package's, since ``analyze`` sums the terms in another order; so are the
-entropy views (Renyi-1, relative entropy, F) and the total probability,
-each against its 0.1.0 formula.
+entropy views (Renyi-1, relative entropy, F), each against its 0.1.0
+formula. The total probability is held to the exact sum rounded once.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ def ref_shannon_entropy(probs):
 
 
 def ref_total_probability(dist):
-    return math.fsum(dist.probs)
+    """The exact sum rounded once, as analyze's p_total: fsum must give its bits."""
+    return float(_exact_sums(dist.probs)[0])
 
 
 def ref_renyi1_entropy(dist):
