@@ -3,9 +3,11 @@
 Exit codes follow one contract everywhere: 0 success, 1 an oracle check
 failed, 2 data or validation error, 64 usage error. Every JSON output is
 wrapped in an envelope (tool_version, command, generated_at, payload);
-CSV outputs carry the same metadata as ``#`` comment lines. Outputs
-default to stdout; ``-`` as a path also means stdout. ``--no-timestamp``
-drops the generated_at field so outputs are byte-stable for golden tests.
+CSV outputs carry the same metadata as ``#`` comment lines. The envelope
+is built once per run, so every output of one run carries the same one,
+stamped when the command starts. Outputs default to stdout; ``-`` as a
+path also means stdout. ``--no-timestamp`` drops the generated_at field
+so outputs are byte-stable for golden tests.
 """
 
 from __future__ import annotations
@@ -54,14 +56,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _metadata(command: str, no_timestamp: bool) -> dict:
-    meta = {"tool_version": __version__, "command": command}
-    if not no_timestamp:
-        meta["generated_at"] = _utc_now()
+def _metadata(args) -> dict:
+    """The envelope every output of this run carries."""
+    meta = {"tool_version": __version__, "command": args.command}
+    if not args.no_timestamp:
+        meta["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return meta
 
 
@@ -86,22 +85,16 @@ def _nonfinite_as_strings(obj):
     return obj
 
 
-def _write_json(path: str | None, command: str, payload, no_timestamp: bool) -> None:
+def _write_json(path: str | None, meta: dict, payload) -> None:
     # Strict JSON has no infinity or NaN; such fields become the strings
     # "Infinity", "-Infinity" and "NaN".
-    doc = _nonfinite_as_strings({**_metadata(command, no_timestamp), "payload": payload})
+    doc = _nonfinite_as_strings({**meta, "payload": payload})
     _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(
-    path: str | None,
-    command: str,
-    header: str,
-    rows: Sequence[tuple],
-    no_timestamp: bool,
-) -> None:
+def _write_csv(path: str | None, meta: dict, header: str, rows: Sequence[tuple]) -> None:
     # The one place a CSV cell is formatted: floats to 12 significant digits.
-    lines = [f"# {key}: {value}" for key, value in _metadata(command, no_timestamp).items()]
+    lines = [f"# {key}: {value}" for key, value in meta.items()]
     lines.append(header)
     lines += [
         ",".join([format(cell, ".12g") if isinstance(cell, float) else str(cell) for cell in row])
@@ -141,58 +134,48 @@ def _read_input(path: str) -> bytes:
 # ----------------------------------------------------------------------
 # subcommands
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, meta: dict) -> int:
     if args.probs is not None:
         values, labels = args.probs, None
     else:
         values, labels = read_vector(_read_input(args.input), args.format)
     report = analyze(from_probabilities(values, labels))
-    _write_json(args.output, "analyze", report.to_dict(), args.no_timestamp)
+    _write_json(args.output, meta, report.to_dict())
     return EXIT_OK
 
 
-def _cmd_binomial_sweep(args) -> int:
+def _cmd_binomial_sweep(args, meta: dict) -> int:
     rows = [
         (pt.n, pt.p, pt.report.cv, pt.report.cv_rel, pt.report.entropy_bits,
          pt.report.avg_number_f, pt.report.equiv_number_d, pt.report.equiv_number_g)
         for pt in sweep_binomial(args.n, args.p_steps)
     ]
-    _write_csv(
-        args.output,
-        "binomial-sweep",
-        "n,p,cv,cv_rel,entropy_bits,f,d,g",
-        rows,
-        args.no_timestamp,
-    )
+    _write_csv(args.output, meta, "n,p,cv,cv_rel,entropy_bits,f,d,g", rows)
     return EXIT_OK
 
 
-def _cmd_gws(args) -> int:
+def _cmd_gws(args, meta: dict) -> int:
     records = parse_area_table(_read_input(args.input), args.format)
     # Analyze each area once; the ranking and the chart both read these.
     reports = [area_report(rec) for rec in records]
     ranked = reports if args.rank is None else rank_areas(reports, args.rank)
     # Built before any output, so a table it refuses leaves nothing written.
     chart = None if args.chart is None else chart_data(reports)
-    _write_json(
-        args.report, "gws", [ar.to_dict() for ar in ranked], args.no_timestamp
-    )
+    _write_json(args.report, meta, [ar.to_dict() for ar in ranked])
     if chart is not None:
-        _write_csv(args.chart, "gws", ",".join(ChartRow._fields), chart, args.no_timestamp)
+        _write_csv(args.chart, meta, ",".join(ChartRow._fields), chart)
     return EXIT_OK
 
 
-def _cmd_rose(args) -> int:
+def _cmd_rose(args, meta: dict) -> int:
     records = parse_area_table(_read_input(args.input), "csv")
     record = find_area(records, args.area)
     rows = [(deg, label, p) for (deg, p), label in zip(rose_data(record), DIRECTION_LABELS)]
-    _write_csv(
-        args.output, "rose", "bearing_deg,direction,probability", rows, args.no_timestamp
-    )
+    _write_csv(args.output, meta, "bearing_deg,direction,probability", rows)
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, meta: dict) -> int:
     if args.check == "max-variance":
         if args.n is None or args.p_total is None:
             raise _UsageError("--check max-variance needs --n and --p-total")
@@ -209,7 +192,7 @@ def _cmd_oracle(args) -> int:
             result = verify_sum_squares_bounds(dist)
         else:
             result = cross_check_report(dist)
-    _write_json(args.output, "oracle", result.to_dict(), args.no_timestamp)
+    _write_json(args.output, meta, result.to_dict())
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 
@@ -344,7 +327,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, _metadata(args))
     # Only flag values reach the library parameters that raise these two
     # (n, p_steps, p_total, trials, seed): a grid p is always in range, and
     # validating a vector raises neither. So each names a flag value.

@@ -231,6 +231,7 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     mirrored = dict.fromkeys(j for i in range(1, steps // 2 + 1) for j in (i, steps - i))
     points = []
     for n in ns:
+        n = _integer(n, "n", 1, ZeroSize)
         reports = {0: analyze(binomial(n, grid[0]))}
         for i in mirrored:
             reports[i] = analyze(binomial(n, grid[i]))

@@ -134,6 +134,9 @@ class Distribution:
     labels: tuple[str, ...] | None
 
     def __init__(self, probs, labels=None) -> None:
+        # probs is set before validation, and construction and unpickling
+        # (__reduce__) both validate through __post_init__: a wrapper of
+        # __post_init__ may read len(self.probs) after it returns or raises.
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "labels", labels)
         self.__post_init__()

@@ -153,13 +153,13 @@ def _rel(a: float, b: float) -> float:
 
 
 def _quotient(num: float, den: float) -> float:
-    # analyze's rule for a float result past the float range: a positive
-    # num over a den that underflowed to 0 is inf, as the true quotient
-    # overflows; 0 / 0 is undefined and gives NaN, which _rel refuses.
+    # analyze's rule for a float result past the float range: num is
+    # always positive, so over a den that underflowed to 0 the true
+    # quotient overflows and is inf.
     try:
         return num / den
     except ZeroDivisionError:
-        return math.inf if num else math.nan
+        return math.inf
 
 
 def cross_check_report(dist: Distribution) -> OracleResult:

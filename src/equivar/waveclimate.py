@@ -39,7 +39,6 @@ from .errors import (
     ValidationFailure,
 )
 from .indicators import Distribution, analyze
-from .distributions import from_probabilities
 
 __all__ = [
     "DIRECTION_LABELS",
@@ -259,7 +258,7 @@ def _add_area(
         for label, value in zip(DIRECTION_LABELS, values)
     ]
     try:
-        dist = from_probabilities(probs, DIRECTION_LABELS)
+        dist = Distribution(probs, DIRECTION_LABELS)
     except ValidationFailure as exc:
         raise type(exc)(f"{where}: {exc}") from None
     records[area_id] = AreaRecord(area_id=area_id, directions=dist, region=region)

@@ -341,7 +341,7 @@ def test_json_writer_spells_every_non_finite_float(capsys):
         {"a": 0.5, "b": "NaN", "c": 3},
         (math.inf, 1.5),
     ]
-    cli._write_json(None, "gws", payload, True)
+    cli._write_json(None, {"tool_version": cli.__version__, "command": "gws"}, payload)
     doc = json.loads(capsys.readouterr().out)
     assert doc["payload"] == [
         {"a": "NaN", "b": "-Infinity", "c": "Infinity"},
@@ -352,8 +352,9 @@ def test_json_writer_spells_every_non_finite_float(capsys):
 
 def test_finite_json_output_is_unchanged(capsys):
     payload = {"x": [0.1, 1e-320, 2.0], "y": {"z": -0.0}}
-    cli._write_json(None, "analyze", payload, True)
-    doc = {"tool_version": cli.__version__, "command": "analyze", "payload": payload}
+    meta = {"tool_version": cli.__version__, "command": "analyze"}
+    cli._write_json(None, meta, payload)
+    doc = {**meta, "payload": payload}
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
@@ -793,6 +794,40 @@ def test_no_timestamp_output_is_byte_stable(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second and "generated_at" not in first
+
+
+SUBCOMMAND_ARGV = {
+    "analyze": ["--probs", "1"],
+    "binomial-sweep": ["--n", "1", "--p-steps", "2"],
+    "gws": ["--input", sample_table_path()],
+    "rose": ["--input", sample_table_path(), "--area", "A64"],
+    "oracle": ["--check", "bounds", "--probs", "0.5", "--probs", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_ARGV)
+def test_every_subcommand_names_itself_in_the_envelope(capsys, command):
+    code, out, _ = run(capsys, command, *SUBCOMMAND_ARGV[command])
+    assert code == 0
+    if out.startswith("#"):
+        assert f"# command: {command}" in out.splitlines()
+    else:
+        assert json.loads(out)["command"] == command
+
+
+def test_every_output_of_one_run_carries_one_timestamp(capsys, tmp_path, monkeypatch):
+    ticks = iter(range(1_000_000_000, 1_000_000_100))
+    real_gmtime = cli.time.gmtime
+    monkeypatch.setattr(cli.time, "gmtime", lambda *_: real_gmtime(next(ticks)))
+    report, chart = tmp_path / "r.json", tmp_path / "c.csv"
+    code, _, _ = run(
+        capsys, "gws", "--input", sample_table_path(),
+        "--report", str(report), "--chart", str(chart),
+    )
+    assert code == 0
+    stamp = json.loads(report.read_text())["generated_at"]
+    assert RFC3339.match(stamp)
+    assert f"# generated_at: {stamp}" in chart.read_text().splitlines()
 
 
 def test_csv_comment_header(capsys):

@@ -350,6 +350,11 @@ def test_sweep_rejects_bad_steps():
         sweep_binomial((0,), 3)
 
 
+def test_sweep_point_n_is_the_int_binomial_read():
+    points = sweep_binomial([np.int64(3), True], 2)
+    assert [(type(pt.n), pt.n) for pt in points] == [(int, 3), (int, 3), (int, 1), (int, 1)]
+
+
 # ----------------------------------------------------------------------
 # the cached coefficient row
 

@@ -197,3 +197,22 @@ def test_construction_and_unpickling_call_the_patched_post_init(monkeypatch):
     with pytest.raises(ProbabilityAboveOne):
         Distribution((2.0,))
     assert len(seen) == 3
+
+
+def test_a_post_init_wrapper_can_read_probs_after_the_call(monkeypatch):
+    # A tracing wrapper reads len(self.probs) once __post_init__ has
+    # returned or raised, so probs is set before validation starts.
+    lengths = []
+    validate = Distribution.__post_init__
+
+    def wrapper(self):
+        try:
+            validate(self)
+        finally:
+            lengths.append(len(self.probs))
+
+    monkeypatch.setattr(Distribution, "__post_init__", wrapper)
+    pickle.loads(pickle.dumps(Distribution([0.5, 0.5])))
+    with pytest.raises(SumExceedsOne):
+        Distribution([0.7, 0.6])
+    assert lengths == [2, 2, 2]
