@@ -181,12 +181,16 @@ def _cmd_oracle(args, meta: dict) -> int:
             raise _UsageError("--check max-variance needs --n and --p-total")
         if args.probs is not None:
             raise _UsageError("--probs does not apply to --check max-variance")
-        result = mc_max_variance(args.n, args.p_total, args.trials, args.seed)
+        trials = 100000 if args.trials is None else args.trials
+        seed = 0 if args.seed is None else args.seed
+        result = mc_max_variance(args.n, args.p_total, trials, seed)
     else:
         if args.probs is None:
             raise _UsageError(f"--check {args.check} needs --probs")
         if args.n is not None or args.p_total is not None:
             raise _UsageError(f"--n/--p-total do not apply to --check {args.check}")
+        if args.trials is not None or args.seed is not None:
+            raise _UsageError(f"--trials/--seed do not apply to --check {args.check}")
         dist = from_probabilities(args.probs)
         if args.check == "bounds":
             result = verify_sum_squares_bounds(dist)
@@ -311,9 +315,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=integer, metavar="N", help="vector length (max-variance)")
     p.add_argument("--p-total", type=probability, metavar="T",
                    help="total probability of sampled vectors (max-variance)")
-    p.add_argument("--trials", type=integer, default=100000, metavar="K",
+    p.add_argument("--trials", type=integer, metavar="K",
                    help="Monte-Carlo sample count (default 100000)")
-    p.add_argument("--seed", type=integer, default=0, metavar="S",
+    p.add_argument("--seed", type=integer, metavar="S",
                    help="random seed, recorded in the result (default 0)")
     p.add_argument("--probs", type=probability, action="append", metavar="P",
                    help="one outcome probability; repeat per outcome (bounds/cross)")

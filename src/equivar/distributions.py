@@ -150,16 +150,16 @@ def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[list[float], list[
 def _coefficients(n: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """The row C(n, 0..n) as floats, and the shifts of those past the float range.
 
-    Returns ``(row, shifts)``. ``row[k]`` is float(C(n, k)) wherever that
-    fits a float. The k where it does not (only for n >= 1030) form one run
-    lo..n - lo around the centre. There the coefficient is cut to a 64-bit
-    mantissa cm whose lowest bit is set when any dropped bit was; ``row[k]``
-    is float(cm), which rounds a product as cm does (int * float converts
-    the int with correct rounding), and ``shifts`` holds the number of bits
-    dropped, one int per k of the run. So the row holds O(n) small numbers,
-    not the O(n^2) bits of the exact integers. The exact integer is carried
-    from one k to the next (C(n, k+1) = C(n, k) * (n - k) // (k + 1)) over
-    the first half of the row, and the second half mirrors it.
+    Returns ``(row, shifts)``. ``row[k]`` is C(n, k) rounded once to a
+    float, and past the float range it is stored scaled by 2**-shift. The k
+    past the range (only for n >= 1030) form one run lo..n - lo around the
+    centre, and ``shifts`` holds one shift per k of the run. So a product
+    with ``row[k]`` rounds as one with the exact (scaled) integer does
+    (int * float converts the int with correct rounding), and the row holds
+    O(n) small numbers, not the O(n^2) bits of the exact integers. The exact
+    integer is carried from one k to the next
+    (C(n, k+1) = C(n, k) * (n - k) // (k + 1)) over the first half of the
+    row, and the second half mirrors it.
     """
     half: list[float] = []
     shifts: list[int] = []
@@ -168,8 +168,12 @@ def _coefficients(n: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
         try:
             half.append(float(c))
         except OverflowError:
+            # The cut drops s >= 960 bits, and at least one of them is set:
+            # by Kummer's theorem C(n, k) has at most log2(n) trailing zero
+            # bits. So ORing in 1 is the sticky bit that makes the two
+            # roundings (to 64 bits, then to 53) round as one.
             s = c.bit_length() - 64
-            half.append(float((c >> s) | bool(c & ((1 << s) - 1))))
+            half.append(float((c >> s) | 1))
             shifts.append(s)
         c = c * (n - k) // (k + 1)
     # For even n the centre k = n / 2 ends each half and is not repeated.

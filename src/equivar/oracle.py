@@ -28,8 +28,9 @@ __all__ = [
 # A check passes when its residual does not exceed this.
 ORACLE_TOL = 1e-12
 
-# Values per chunk of Monte-Carlo draws: for any n a chunk's (block, n)
-# float64 array is at most 32 MB, and each of its few temporaries too.
+# Values per chunk of Monte-Carlo draws: for n <= 2**22 a chunk's (block, n)
+# float64 array is at most 32 MB, and each of its few temporaries too. A
+# larger n draws one vector per chunk, whose array takes 8 * n bytes.
 _MC_VALUES = 1 << 22
 
 

@@ -633,6 +633,16 @@ def test_oracle_max_variance(capsys):
     assert body["seed"] == 42 and body["trials"] == 100000
 
 
+def test_oracle_max_variance_defaults_trials_and_seed(capsys):
+    code, out, _ = run(
+        capsys, "oracle", "--check", "max-variance", "--n", "3", "--p-total", "1",
+        "--no-timestamp",
+    )
+    assert code == 0
+    body = payload_of(out)
+    assert body["trials"] == 100000 and body["seed"] == 0
+
+
 def test_oracle_bounds_uniform(capsys):
     code, out, _ = run(
         capsys, "oracle", "--check", "bounds",
@@ -696,12 +706,31 @@ def test_oracle_cross_on_subnormal_terms_ends_in_a_result(capsys, probs):
         ("oracle", "--check", "max-variance", "--n", "3", "--p-total", "1", "--seed", "-1"),
         ("oracle", "--check", "max-variance", "--n", "3", "--p-total", "1", "--probs", "0.5"),
         ("oracle", "--check", "cross", "--probs", "0.5", "--probs", "0.5", "--n", "3"),
+        ("oracle", "--check", "cross", "--probs", "0.5", "--probs", "0.5", "--seed", "7"),
+        ("oracle", "--check", "bounds", "--probs", "0.5", "--probs", "0.5", "--trials", "3"),
     ],
 )
 def test_oracle_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 64
     assert err.startswith("equivar: usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--version",), ("--help",)]
+    + [(cmd, "--help") for cmd in ("analyze", "binomial-sweep", "gws", "rose", "oracle")],
+)
+def test_help_and_version_screens_exit_0(capsys, argv):
+    # A stray % in a help string would crash argparse's help formatting here.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if argv == ("--version",):
+        assert out == "equivar 0.1.0\n"
+    else:
+        assert out.startswith("usage: equivar")
 
 
 @pytest.mark.parametrize("cell", ["0.2_5", "\u0660.\u0665"], ids=["underscore", "arabic-indic-digits"])

@@ -446,6 +446,20 @@ def test_cached_row_is_small_numbers_only():
         assert s == c.bit_length() - 64 and row[k] == float((c >> s) | bool(c & ((1 << s) - 1)))
 
 
+@given(st.integers(min_value=1030, max_value=20000), st.integers(min_value=0))
+@example(1073, 3)  # k = 413: C(1073, 413) rounds up to a double only through its sticky bit
+@settings(max_examples=5, deadline=None)
+def test_run_entries_are_the_sticky_cut_of_the_exact_coefficient(n, offset):
+    # The reference computes the sticky bit from the dropped bits, which the
+    # row takes to be 1 on the run (Kummer's theorem bounds the trailing zeros).
+    row, shifts = distributions._coefficients(n)
+    lo = (n + 1 - len(shifts)) // 2
+    k = lo + offset % len(shifts)
+    c, s = math.comb(n, k), shifts[k - lo]
+    assert s == c.bit_length() - 64 and s >= 960
+    assert row[k] == float((c >> s) | bool(c & ((1 << s) - 1))), (n, k)
+
+
 # ----------------------------------------------------------------------
 # the power tables shared by mirror cells
 
