@@ -107,12 +107,12 @@ def _write_csv(path: str | None, meta: dict, header: str, rows: Sequence[tuple])
 # and argparse names the type in the usage error of a value it refuses.
 def probability(text: str) -> float:
     """A --probs or --p-total value: what ``float()`` takes."""
-    return _csv_number(text, "probability", None)
+    return _csv_number(text, "probability")
 
 
 def integer(text: str) -> int:
     """An integer flag's value: what ``int()`` takes."""
-    return _csv_number(text, "integer", None, int)
+    return _csv_number(text, "integer", int)
 
 
 def integer_list(text: str) -> list[int]:

@@ -81,11 +81,7 @@ class IncompleteDistribution(EquivarError):
 
 
 class ParseError(EquivarError):
-    """An input file could not be parsed; the message names the offending row or entry."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+    """An input could not be parsed; only its message names the offending row or entry."""
 
 
 class MalformedHeader(ParseError):

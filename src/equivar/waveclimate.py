@@ -5,7 +5,8 @@ Every input file the CLI takes, an area table or a single probability
 vector (``read_vector``), is decoded here, under one policy: UTF-8 text,
 JSON through one loader, and one number check per format. In JSON only
 numbers are probabilities (not booleans, strings or null). Every failure
-is a typed ``ParseError``, and one about a value names its row or entry.
+is a typed ``ParseError``, and one about a value names its row or entry in
+its message (the exception carries no ``row`` attribute).
 
 Ingests area tables in the shape of the Global Wave Statistics annual
 wind-wave direction compilations: one row per ocean area, eight
@@ -120,12 +121,14 @@ class ChartRow(namedtuple("ChartRow", "area_id p_total cv_rel h_rel d f g")):
     __slots__ = ()
 
 
-def _decode(data: bytes | str | io.BufferedIOBase) -> str:
-    if isinstance(data, str):
-        return data
-    raw = data if isinstance(data, (bytes, bytearray)) else data.read()
+def _decode(data: bytes | str | io.IOBase) -> str:
+    text = data.read() if hasattr(data, "read") else data
+    if isinstance(text, str):
+        return text
+    if not isinstance(text, (bytes, bytearray)):
+        raise ParseError(f"input must be bytes, text or a file, not {type(data).__name__}")
     try:
-        return raw.decode("utf-8")
+        return text.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
 
@@ -138,7 +141,7 @@ def _load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def _read(data: bytes | str | io.BufferedIOBase, format: str, from_csv, from_json):
+def _read(data: bytes | str | io.IOBase, format: str, from_csv, from_json):
     """Decode ``data`` and pass it to the reader of its format."""
     text = _decode(data)
     if format == "csv":
@@ -156,17 +159,17 @@ def _shown(value) -> str:
     return json.dumps(value)
 
 
-def _json_number(value, where: str, row: int) -> float:
+def _json_number(value, where: str) -> float:
     """A JSON number as a float; booleans, strings and null are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise NonNumericProbability(f"{where} is not a number: {_shown(value)}", row=row)
+        raise NonNumericProbability(f"{where} is not a number: {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
-        raise NonNumericProbability(f"{where} is past the float range", row=row) from None
+        raise NonNumericProbability(f"{where} is past the float range") from None
 
 
-def _csv_number(field: str, where: str, row: int | None, kind: type = float) -> float | int:
+def _csv_number(field: str, where: str, kind: type = float) -> float | int:
     """A CSV field as a float: what ``float()`` reads, but in ASCII and without ``_``.
 
     With ``kind=int`` it reads an integer under the same policy, for the
@@ -177,9 +180,7 @@ def _csv_number(field: str, where: str, row: int | None, kind: type = float) -> 
             raise ValueError
         return kind(field)
     except ValueError:
-        raise NonNumericProbability(
-            f"{where} is not a number: {field.strip()!r}", row=row
-        ) from None
+        raise NonNumericProbability(f"{where} is not a number: {field.strip()!r}") from None
 
 
 def _json_array(doc: dict, key: str) -> list:
@@ -197,7 +198,7 @@ def _vector_csv(text: str) -> tuple[list[float], None]:
             continue
         for field in line.split(","):
             where = f"row {lineno}: probability {len(probs)}"
-            probs.append(_csv_number(field, where, lineno))
+            probs.append(_csv_number(field, where))
     return probs, None
 
 
@@ -207,8 +208,7 @@ def _vector_json(doc) -> tuple[list[float], list[str] | None]:
     elif not (isinstance(doc, dict) and "probs" in doc):
         raise ParseError("JSON input must be an array or an object with 'probs'")
     probs = [
-        _json_number(v, f"JSON probability {i}", i)
-        for i, v in enumerate(_json_array(doc, "probs"))
+        _json_number(v, f"JSON probability {i}") for i, v in enumerate(_json_array(doc, "probs"))
     ]
     labels = doc.get("labels")
     if labels is not None:
@@ -217,7 +217,7 @@ def _vector_json(doc) -> tuple[list[float], list[str] | None]:
 
 
 def read_vector(
-    data: bytes | str | io.BufferedIOBase, format: str = "csv"
+    data: bytes | str | io.IOBase, format: str = "csv"
 ) -> tuple[list[float], list[str] | None]:
     """Read one probability vector and its labels (or None) from CSV or JSON.
 
@@ -239,24 +239,20 @@ def _writable_id(area_id: str) -> bool:
 
 
 def _add_area(
-    records: dict[str, AreaRecord], where: str, row: int, area_id: str, values, number,
+    records: dict[str, AreaRecord], where: str, area_id: str, values, number,
     region: str | None = None,
 ) -> None:
     """Check one table row's id and 8 values (read by ``number``) and record it."""
     if not area_id:
-        raise ParseError(f"{where}: empty area id", row=row)
+        raise ParseError(f"{where}: empty area id")
     if not _writable_id(area_id):
         raise ParseError(
             f"{where}: area id {area_id!r} holds a comma, a double quote, "
-            "a control character or a lone surrogate",
-            row=row,
+            "a control character or a lone surrogate"
         )
     if area_id in records:
-        raise DuplicateAreaId(f"{where}: duplicate area {area_id!r}", row=row)
-    probs = [
-        number(value, f"{where}: d{label}", row)
-        for label, value in zip(DIRECTION_LABELS, values)
-    ]
+        raise DuplicateAreaId(f"{where}: duplicate area {area_id!r}")
+    probs = [number(value, f"{where}: d{label}") for label, value in zip(DIRECTION_LABELS, values)]
     try:
         dist = Distribution(probs, DIRECTION_LABELS)
     except ValidationFailure as exc:
@@ -268,18 +264,15 @@ def _parse_csv(text: str) -> list[AreaRecord]:
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         got = lines[0] if lines else "<empty input>"
-        raise MalformedHeader(f"header must be {CSV_HEADER!r}, got {got!r}", row=1)
+        raise MalformedHeader(f"header must be {CSV_HEADER!r}, got {got!r}")
     records: dict[str, AreaRecord] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         fields = line.split(",")
         if len(fields) != 9:
-            raise BadFieldCount(
-                f"row {lineno}: expected 9 fields, got {len(fields)}", row=lineno
-            )
-        where = f"row {lineno}"
-        _add_area(records, where, lineno, fields[0].strip(), fields[1:], _csv_number)
+            raise BadFieldCount(f"row {lineno}: expected 9 fields, got {len(fields)}")
+        _add_area(records, f"row {lineno}", fields[0].strip(), fields[1:], _csv_number)
     return list(records.values())
 
 
@@ -289,31 +282,25 @@ def _parse_json(doc) -> list[AreaRecord]:
     records: dict[str, AreaRecord] = {}
     for idx, entry in enumerate(doc, start=1):
         if not isinstance(entry, dict) or "area" not in entry or "directions" not in entry:
-            raise BadFieldCount(
-                f"entry {idx}: need an object with 'area' and 'directions'", row=idx
-            )
+            raise BadFieldCount(f"entry {idx}: need an object with 'area' and 'directions'")
         directions = entry["directions"]
         if not isinstance(directions, list) or len(directions) != 8:
-            raise BadFieldCount(
-                f"entry {idx}: 'directions' must hold 8 numbers", row=idx
-            )
+            raise BadFieldCount(f"entry {idx}: 'directions' must hold 8 numbers")
         area_id, region = entry["area"], entry.get("region")
         if not isinstance(area_id, str):
-            raise ParseError(
-                f"entry {idx}: area id is not a string: {_shown(area_id)}", row=idx
-            )
+            raise ParseError(f"entry {idx}: area id is not a string: {_shown(area_id)}")
         area_id = area_id.strip()
         _add_area(
-            records, f"entry {idx}", idx, area_id, directions, _json_number,
+            records, f"entry {idx}", area_id, directions, _json_number,
             None if region is None else str(region),
         )
     return list(records.values())
 
 
 def parse_area_table(
-    data: bytes | str | io.BufferedIOBase, format: str = "csv"
+    data: bytes | str | io.IOBase, format: str = "csv"
 ) -> list[AreaRecord]:
-    """Parse an area table from CSV or JSON bytes/text, in file order.
+    """Parse an area table from CSV or JSON bytes, text or a file, in file order.
 
     CSV input must start with the exact header ``area,dN,dNE,dE,dSE,dS,dSW,
     dW,dNW`` and carry one area per line (LF or CRLF). JSON input is an

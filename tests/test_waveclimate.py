@@ -1,7 +1,10 @@
 """Unit tests for area-table parsing, reports, rankings, and plot data."""
 
+import contextlib
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,8 +76,28 @@ def test_parse_accepts_open_file_object():
     assert [r.area_id for r in records][:2] == ["A64", "A86"]
 
 
+@pytest.mark.parametrize(
+    "source, refused",
+    [
+        (lambda: open(sample_table_path(), encoding="utf-8"), None),
+        (lambda: io.StringIO(Path(sample_table_path()).read_text("utf-8")), None),
+        (lambda: contextlib.nullcontext(None), "NoneType"),
+        (lambda: contextlib.nullcontext(5), "int"),
+    ],
+    ids=["text-mode-file", "string-io", "none", "int"],
+)
+def test_readers_take_text_files_and_refuse_other_objects(source, refused, sample_records):
+    with source() as data:
+        if refused is None:
+            assert parse_area_table(data, "csv") == sample_records
+        else:
+            for reader in (parse_area_table, read_vector):
+                with pytest.raises(ParseError, match=f"^input must be .*, not {refused}$"):
+                    reader(data, "csv")
+
+
 def test_parse_rejects_bad_header():
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedHeader, match="^header must be 'area,dN,.*', got 'area,dN'$"):
         parse_area_table(b"area,dN\nA1,0.5\n", "csv")
 
 
@@ -102,9 +125,8 @@ def test_parse_csv_takes_ascii_numbers_without_underscores(cell):
 )
 def test_parse_json_area_id_must_be_a_string(area):
     doc = [{"area": "A0", "directions": [0.1] * 8}, {"area": area, "directions": [0.1] * 8}]
-    with pytest.raises(ParseError, match="entry 2: area id is not a string") as info:
+    with pytest.raises(ParseError, match="entry 2: area id is not a string"):
         parse_area_table(json.dumps(doc), "json")
-    assert info.value.row == 2
 
 
 @pytest.mark.parametrize(
@@ -112,16 +134,14 @@ def test_parse_json_area_id_must_be_a_string(area):
 )
 def test_json_area_id_holds_no_chart_breaking_character(area):
     doc = [{"area": area, "directions": [0.1] * 8}]
-    with pytest.raises(ParseError, match="entry 1: area id .* holds a comma") as info:
+    with pytest.raises(ParseError, match="entry 1: area id .* holds a comma"):
         parse_area_table(json.dumps(doc), "json")
-    assert info.value.row == 1
 
 
 @pytest.mark.parametrize("area", ['A"1', '"A1"', "A\t1", "A\x001", "A\x7f", "A\x9f1"])
 def test_csv_area_id_holds_no_chart_breaking_character(area):
-    with pytest.raises(ParseError, match="row 3: area id .* holds a comma") as info:
+    with pytest.raises(ParseError, match="row 3: area id .* holds a comma"):
         parse_area_table(table(A64_ROW, f"{area},0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1"), "csv")
-    assert info.value.row == 3
 
 
 def test_area_ids_may_hold_other_unicode():
@@ -130,7 +150,7 @@ def test_area_ids_may_hold_other_unicode():
 
 
 def test_parse_rejects_duplicate_area():
-    with pytest.raises(DuplicateAreaId):
+    with pytest.raises(DuplicateAreaId, match="^row 3: duplicate area 'A64'$"):
         parse_area_table(table(A64_ROW, A64_ROW), "csv")
 
 
@@ -141,6 +161,8 @@ def test_parse_propagates_validation_with_row():
     row = "A01,-0.1,0.2,0.1,0.1,0.1,0.1,0.1,0.1"
     with pytest.raises(NegativeProbability, match="row 2"):
         parse_area_table(table(row), "csv")
+    with pytest.raises(ParseError, match="^row 3: empty area id$"):
+        parse_area_table(table(A64_ROW, " ,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1"), "csv")
 
 
 def test_parse_json():
@@ -161,12 +183,19 @@ def test_parse_json():
 def test_parse_json_errors():
     with pytest.raises(ParseError):
         parse_area_table(b"{not json", "json")
-    with pytest.raises(BadFieldCount):
+    with pytest.raises(BadFieldCount, match="^entry 1: 'directions' must hold 8 numbers$"):
         parse_area_table(json.dumps([{"area": "A1", "directions": [0.5]}]), "json")
+    for entry in ({"area": "A1"}, {"directions": [0.1] * 8}, [0.1] * 8):
+        with pytest.raises(
+            BadFieldCount, match="^entry 1: need an object with 'area' and 'directions'$"
+        ):
+            parse_area_table(json.dumps([entry]), "json")
+    with pytest.raises(ParseError, match="^entry 1: empty area id$"):
+        parse_area_table(json.dumps([{"area": " ", "directions": [0.1] * 8}]), "json")
     with pytest.raises(NonNumericProbability):
         doc = [{"area": "A1", "directions": [0.1] * 7 + ["x"]}]
         parse_area_table(json.dumps(doc), "json")
-    with pytest.raises(DuplicateAreaId):
+    with pytest.raises(DuplicateAreaId, match="^entry 2: duplicate area 'A1'$"):
         doc = [
             {"area": "A1", "directions": [0.1] * 8},
             {"area": "A1", "directions": [0.1] * 8},
@@ -199,6 +228,10 @@ def test_read_vector_csv_and_json():
     assert read_vector(json.dumps(doc), "json") == ([0.5, 0.5], ["H", "7"])
     with pytest.raises(NonNumericProbability, match="row 2: probability 2 is not a number: 'x'"):
         read_vector("0.1,0.1\n x \n", "csv")
+    with pytest.raises(NonNumericProbability, match="^JSON probability 1 is not a number: null$"):
+        read_vector("[0.5, null]", "json")
+    with pytest.raises(NonNumericProbability, match="^JSON probability 2 is past the float range$"):
+        read_vector("[0.5, 0.5, 1" + "0" * 400 + "]", "json")
     with pytest.raises(ParseError, match="unknown format"):
         read_vector("0.5", "xml")
 
