@@ -68,7 +68,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot open output: {exc}") from None
+    with fh:
         fh.write(text)
 
 

@@ -61,7 +61,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import repeat
-from operator import mul
+from operator import mul, truediv
 
 from .errors import (
     AllImpossible,
@@ -315,13 +315,17 @@ def _moments(
     return s, s2, -q0, xs
 
 
-def _divide(num: int, den: int) -> float:
-    # 1/sum(p^2) and N/p_total^2 can exceed the float range when the
-    # probabilities are denormal-small; answer with infinity like plain
-    # float division would. Both are positive.
+def _or_inf(compute, *args) -> float:
+    """compute(*args), or inf where the result is past the float range.
+
+    Every caller's true result is positive (D, N / p_total^2 and F, and the
+    oracle's recomputations of them), so an overflowing int / int quotient
+    or power and a float quotient over a denominator that underflowed to 0
+    are all inf, as plain float arithmetic answers an overflow.
+    """
     try:
-        return num / den
-    except OverflowError:
+        return compute(*args)
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -332,9 +336,9 @@ def _duality(n: int, s: int, s2: int, b: int) -> tuple[float, float, float, floa
     side overflows the float range the defect of the exact ratio is 0.
     """
     ss = s * s
-    d = _divide(1 << 2 * b, s2)
+    d = _or_inf(truediv, 1 << 2 * b, s2)
     g = n * s2 / ss  # CV^2 + 1 = N * sum(p^2) / p_total^2
-    rhs = _divide(n << 2 * b, ss)
+    rhs = _or_inf(truediv, n << 2 * b, ss)
     product = d * g
     if math.isfinite(product) and math.isfinite(rhs):
         return d, g, rhs, abs(product - rhs) / rhs
@@ -496,10 +500,7 @@ def analyze(dist: Distribution) -> IndicatorReport:
 
     h_bits = _entropy(nonzero) / fields["p_total"]
     h_rel = 0.0 if n == 1 else h_bits / math.log2(n)
-    try:
-        f = 2.0 ** h_bits
-    except OverflowError:
-        f = math.inf
+    f = _or_inf(pow, 2.0, h_bits)
 
     d, g, _, residual = _duality(n, s, s2, b)
     return IndicatorReport(

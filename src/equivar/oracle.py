@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import truediv
 
 from .distributions import _integer, _unit_interval
 from .errors import IncompleteDistribution
-from .indicators import TOL_SUM, Distribution, analyze, total_probability
+from .indicators import TOL_SUM, Distribution, _or_inf, analyze, total_probability
 
 __all__ = [
     "ORACLE_TOL",
@@ -62,8 +63,12 @@ def sample_simplex(n: int, p_total: float, trials: int, rng):
     Normalized unit-exponential draws are Dirichlet(1, ..., 1), i.e. uniform
     on the simplex; scaling by p_total moves them to the incomplete shell.
     ``rng`` is a numpy ``Generator``; returns a numpy array of shape
-    (trials, n).
+    (trials, n). Raises ParameterOutOfRange unless n >= 1, 0 < p_total <= 1
+    and trials >= 1.
     """
+    n = _integer(n, "n", 1)
+    p_total = _unit_interval(p_total, "p_total", above_zero=True)
+    trials = _integer(trials, "trials", 1)
     e = rng.standard_exponential((trials, n))
     return (p_total / e.sum(axis=1))[:, None] * e
 
@@ -153,16 +158,6 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _quotient(num: float, den: float) -> float:
-    # analyze's rule for a float result past the float range: num is
-    # always positive, so over a den that underflowed to 0 the true
-    # quotient overflows and is inf.
-    try:
-        return num / den
-    except ZeroDivisionError:
-        return math.inf
-
-
 def cross_check_report(dist: Distribution) -> OracleResult:
     """Recompute every report field along an independent path and compare.
 
@@ -171,8 +166,8 @@ def cross_check_report(dist: Distribution) -> OracleResult:
     natural-log entropy and e**x vs the base-2 path; plus the plain moments.
     value_found is the largest relative disagreement (reference 0).
 
-    As in :func:`analyze`, a float quotient or power past the float range
-    is inf on this path too, and two infinities agree. Deviations and
+    A quotient or power past the float range is inf here by the one rule
+    :func:`analyze` uses too, and two infinities agree. Deviations and
     entropy terms are formed on the weights w = p * 2**k, with k taking
     their total into [1, 2): exact scaling, so no bit moves in the normal
     range, and tiny vectors are checked clear of underflow. The check fails
@@ -192,14 +187,11 @@ def cross_check_report(dist: Distribution) -> OracleResult:
     cv_rel_dev = 0.0 if n == 1 else cv_dev / math.sqrt(n - 1)
 
     s2 = math.fsum(p * p for p in probs)
-    d_direct = _quotient(1.0, s2)
-    d_identity = _quotient(n, pt * pt * report.equiv_number_g)
+    d_direct = _or_inf(truediv, 1.0, s2)
+    d_identity = _or_inf(truediv, n, pt * pt * report.equiv_number_g)
 
     h_nats = -math.fsum(w * math.log(p) for w, p in zip(weights, probs) if p > 0.0) / wt
-    try:
-        f_nats = math.exp(h_nats)
-    except OverflowError:
-        f_nats = math.inf
+    f_nats = _or_inf(math.exp, h_nats)
 
     residuals = {
         "p_total": _rel(report.p_total, pt),

@@ -526,6 +526,36 @@ def test_gws_missing_file(capsys):
     assert "cannot open input" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--probs", "1", "--output"],
+        ["binomial-sweep", "--n", "2", "--p-steps", "3", "--output"],
+        ["gws", "--input", sample_table_path(), "--report"],
+        ["rose", "--input", sample_table_path(), "--area", "A64", "--output"],
+        ["oracle", "--check", "bounds", "--probs", "1", "--output"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_output_that_cannot_be_opened_says_so(capsys, tmp_path, argv):
+    missing = tmp_path / "no-such-dir" / "out"
+    code, out, err = run(capsys, *argv, str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"equivar: cannot open output: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_gws_chart_that_cannot_be_opened_still_leaves_the_report(capsys, tmp_path):
+    report, chart = tmp_path / "r.json", tmp_path / "no-such-dir" / "c.csv"
+    code, out, err = run(
+        capsys, "gws", "--input", sample_table_path(),
+        "--report", str(report), "--chart", str(chart), "--no-timestamp",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("equivar: cannot open output: ")
+    assert str(chart) in err
+    assert len(payload_of(report.read_text())) > 0
+
+
 def test_gws_parse_error_names_row(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("area,dN,dNE,dE,dSE,dS,dSW,dW,dNW\nA1,0.1,0.1\n")

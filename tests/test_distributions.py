@@ -482,6 +482,8 @@ def _clear_caches():
 )
 @example([(1050, 7, -0.0), (1050, 5, 0.75)])
 @example([(3, 101, 0.7), (1031, 11, 0.9)])  # cells whose 1 - p is not the mirror point
+@example([(40, 2, 1.0), (40, 2, -0.0)])
+@example([(1031, 2, 1.0), (1031, 2, -0.0)])
 @settings(max_examples=8, deadline=None)
 def test_shared_power_tables_keep_every_bit(draws):
     # Calls run back to back, so each may read the tables the last one left;

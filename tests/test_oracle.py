@@ -139,6 +139,23 @@ def test_simplex_sampler_sums_and_range():
     np.testing.assert_allclose(x.sum(axis=1), 0.9725, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n, p_total, trials",
+    [
+        (3, 2.0, 5),
+        (3, math.nan, 5),
+        (3, 0.0, 5),
+        (0, 1.0, 5),
+        (-1, 1.0, 5),
+        (2.5, 1.0, 5),
+        (3, 1.0, 0),
+    ],
+)
+def test_simplex_sampler_refuses_out_of_range_arguments(n, p_total, trials):
+    with pytest.raises(ParameterOutOfRange):
+        sample_simplex(n, p_total, trials, np.random.default_rng(0))
+
+
 # ----------------------------------------------------------------------
 # sum-of-squares bounds
 
