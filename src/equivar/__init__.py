@@ -8,20 +8,31 @@ parameter sweeps, 8-direction ocean-area table processing, independent
 Monte-Carlo/cross-path validators, and a CLI front end.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-# Each module's __all__ decides what it makes public; the package re-exports them.
-from . import distributions, errors, indicators, oracle, waveclimate
-from .indicators import *
-from .distributions import *
-from .oracle import *
-from .waveclimate import *
+# Each module's __all__ decides what it makes public, and the package
+# re-exports them in this order. A module is imported on the first use of one
+# of its names (PEP 562), so ``import equivar`` loads none.
+_EXPORTERS = ("indicators", "distributions", "oracle", "waveclimate")
 
-__all__ = [
-    "__version__",
-    "errors",
-    *indicators.__all__,
-    *distributions.__all__,
-    *oracle.__all__,
-    *waveclimate.__all__,
-]
+
+def __getattr__(name: str):
+    if name in ("errors", "cli", *_EXPORTERS):
+        return import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = ["__version__", "errors", *(n for m in _EXPORTERS for n in __getattr__(m).__all__)]
+    else:
+        # No dunder is exported, so a probe such as doctest's __test__ loads no module.
+        modules = () if name.startswith("__") else map(__getattr__, _EXPORTERS)
+        module = next((m for m in modules if name in m.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
+    globals()[name] = value  # so a later lookup is a plain attribute read
+    return value
+
+
+def __dir__():
+    return __getattr__("__all__")

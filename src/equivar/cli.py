@@ -1,7 +1,7 @@
 """Command-line front end: analyze vectors, sweep binomials, process area tables, run oracles.
 
 Exit codes follow one contract everywhere: 0 success, 1 an oracle check
-failed, 2 data or validation error, 64 usage error. Every JSON output is
+failed, 2 data, validation or memory error, 64 usage error. Every JSON output is
 wrapped in an envelope (tool_version, command, generated_at, payload);
 CSV outputs carry the same metadata as ``#`` comment lines. The envelope
 is built once per run, so every output of one run carries the same one,
@@ -21,9 +21,7 @@ from collections.abc import Sequence
 
 from . import __version__
 from .errors import EquivarError, ParameterOutOfRange, ZeroSize
-from .distributions import from_probabilities, sweep_binomial
-from .indicators import analyze
-from .oracle import cross_check_report, mc_max_variance, verify_sum_squares_bounds
+from .indicators import Distribution, analyze
 from .waveclimate import (
     DIRECTION_LABELS,
     RANK_KEYS,
@@ -143,12 +141,15 @@ def _cmd_analyze(args, meta: dict) -> int:
         values, labels = args.probs, None
     else:
         values, labels = read_vector(_read_input(args.input), args.format)
-    report = analyze(from_probabilities(values, labels))
+    report = analyze(Distribution(values, labels))
     _write_json(args.output, meta, report.to_dict())
     return EXIT_OK
 
 
 def _cmd_binomial_sweep(args, meta: dict) -> int:
+    # Imported by the one command that uses it, so the others never load it.
+    from .distributions import sweep_binomial
+
     rows = [
         (pt.n, pt.p, pt.report.cv, pt.report.cv_rel, pt.report.entropy_bits,
          pt.report.avg_number_f, pt.report.equiv_number_d, pt.report.equiv_number_g)
@@ -180,6 +181,9 @@ def _cmd_rose(args, meta: dict) -> int:
 
 
 def _cmd_oracle(args, meta: dict) -> int:
+    # As for sweep_binomial: only this command loads the oracle.
+    from .oracle import cross_check_report, mc_max_variance, verify_sum_squares_bounds
+
     if args.check == "max-variance":
         if args.n is None or args.p_total is None:
             raise _UsageError("--check max-variance needs --n and --p-total")
@@ -195,7 +199,7 @@ def _cmd_oracle(args, meta: dict) -> int:
             raise _UsageError(f"--n/--p-total do not apply to --check {args.check}")
         if args.trials is not None or args.seed is not None:
             raise _UsageError(f"--trials/--seed do not apply to --check {args.check}")
-        dist = from_probabilities(args.probs)
+        dist = Distribution(args.probs)
         if args.check == "bounds":
             result = verify_sum_squares_bounds(dist)
         else:
@@ -347,6 +351,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DATA_ERROR
     except OSError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
+    except MemoryError as exc:
+        print(f"{PROG}: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_DATA_ERROR
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
@@ -71,14 +72,17 @@ def from_counts(counts: Sequence[int]) -> Distribution:
     return Distribution(tuple(c / total for c in counts))
 
 
-def _integer(value, name: str, least: int, error: type = ParameterOutOfRange) -> int:
-    """value as an int (anything operator.index takes); one below ``least`` raises ``error``."""
+def _integer(value, name: str, least: int, error: type = ParameterOutOfRange, most=None) -> int:
+    """value as an int (anything operator.index takes); one below ``least``
+    raises ``error``, and one above ``most`` raises ParameterOutOfRange."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ParameterOutOfRange(f"need an integer {name}, got {value!r}") from None
     if value < least:
         raise error(f"need {name} >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ParameterOutOfRange(f"need {name} <= {most}, got {value}")
     return value
 
 
@@ -95,13 +99,13 @@ def _unit_interval(value, name: str, above_zero: bool = False) -> float:
 
 def uniform(n: int) -> Distribution:
     """n outcomes of probability 1/n each."""
-    n = _integer(n, "n", 1, ZeroSize)
+    n = _integer(n, "n", 1, ZeroSize, sys.maxsize)
     return Distribution((1.0 / n,) * n)
 
 
 def degenerate(n: int, sure_index: int = 0) -> Distribution:
     """One sure outcome at sure_index, the other n - 1 impossible."""
-    n = _integer(n, "n", 1, ZeroSize)
+    n = _integer(n, "n", 1, ZeroSize, sys.maxsize)
     try:
         sure_index = operator.index(sure_index)
     except TypeError:
@@ -200,7 +204,7 @@ def binomial(n: int, p: float) -> Distribution:
     :func:`degenerate` (the same bits the terms give); p = -0.0 takes the
     general path, whose odd-k terms are -0.0 as in 0.1.0.
     """
-    n = _integer(n, "n", 1, ZeroSize)
+    n = _integer(n, "n", 1, ZeroSize, sys.maxsize - 1)  # n + 1 outcomes
     p = _unit_interval(p, "p")
     if p == 1.0 or (p == 0.0 and math.copysign(1.0, p) > 0.0):
         return degenerate(n + 1, n if p else 0)

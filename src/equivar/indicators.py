@@ -44,8 +44,11 @@ correctly (CV and its relative form take the square root of one).
 Identities between them therefore hold to the last ulp: a uniform vector
 has CV exactly 0, the closed form of CV agrees exactly with sigma/mean, and
 the duality residual stays at rounding level (~1e-16) for any valid input.
-Entropy and the numbers derived from it use correctly rounded float
-summation (math.fsum) of the terms p * log2(p), good to a few ulp. Being
+Entropy and H_rel use correctly rounded float summation (math.fsum) of
+the terms p * log2(p), good to a few ulp. F = 2**H is not: it turns H's
+absolute error into a relative error about ln 2 * H times as large, so
+F's error grows with H (up to ~1500 ulp measured at H ~ 1000 bits, on
+tiny incomplete vectors). That is the conditioning of 2**H. Being
 correctly rounded, fsum gives the same bits in any order, but it is much
 faster when the terms come largest first; so when the moment kernel has
 sorted the values into exponent windows, analyze sums the entropy terms

@@ -10,6 +10,7 @@ in every result, making runs bit-reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from operator import truediv
 
@@ -63,10 +64,10 @@ def sample_simplex(n: int, p_total: float, trials: int, rng):
     Normalized unit-exponential draws are Dirichlet(1, ..., 1), i.e. uniform
     on the simplex; scaling by p_total moves them to the incomplete shell.
     ``rng`` is a numpy ``Generator``; returns a numpy array of shape
-    (trials, n). Raises ParameterOutOfRange unless n >= 1, 0 < p_total <= 1
-    and trials >= 1.
+    (trials, n). Raises ParameterOutOfRange unless 1 <= n <= sys.maxsize,
+    0 < p_total <= 1 and trials >= 1.
     """
-    n = _integer(n, "n", 1)
+    n = _integer(n, "n", 1, most=sys.maxsize)
     p_total = _unit_interval(p_total, "p_total", above_zero=True)
     trials = _integer(trials, "trials", 1)
     e = rng.standard_exponential((trials, n))
@@ -81,7 +82,7 @@ def mc_max_variance(n: int, p_total: float, trials: int, seed: int) -> OracleRes
     cap p_total^2 * (n - 1) / n^2; the residual is the worst overshoot
     beyond it (0 when every sample stayed below, the expected outcome).
     """
-    n = _integer(n, "n", 2)
+    n = _integer(n, "n", 2, most=sys.maxsize)
     p_total = _unit_interval(p_total, "p_total", above_zero=True)
     trials = _integer(trials, "trials", 1)
     seed = _integer(seed, "seed", 0)

@@ -953,3 +953,34 @@ def test_timestamp_is_printed_by_a_fresh_process():
     assert RFC3339.match(json.loads(json_out)["generated_at"])
     stamps = [line for line in csv_out.splitlines() if line.startswith("# generated_at: ")]
     assert len(stamps) == 1 and RFC3339.match(stamps[0].removeprefix("# generated_at: "))
+
+
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        (("binomial-sweep", "--n", "99999999999999999999", "--p-steps", "2"), sys.maxsize - 1),
+        ((*_MAX_VARIANCE[:4], str(2**63), *_MAX_VARIANCE[5:]), sys.maxsize),
+    ],
+    ids=["binomial-sweep", "oracle"],
+)
+def test_a_size_past_the_index_range_is_a_usage_error(capsys, argv, most):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err == f"equivar: usage error: need n <= {most}, got {argv[argv.index('--n') + 1]}\n"
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "an allocation failed"),
+        (MemoryError("Unable to allocate 8.00 TiB"), "Unable to allocate 8.00 TiB"),
+    ],
+    ids=["bare", "with-message"],
+)
+def test_running_out_of_memory_is_one_line_and_exit_2(capsys, monkeypatch, exc, line):
+    def allocate(dist):
+        raise exc
+
+    monkeypatch.setattr(cli, "analyze", allocate)
+    code, out, err = run(capsys, "analyze", "--probs", "1")
+    assert (code, out, err) == (2, "", f"equivar: out of memory: {line}\n")

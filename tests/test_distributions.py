@@ -1,6 +1,7 @@
 """Unit tests for the distribution constructors and binomial sweeps."""
 
 import math
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -521,3 +522,21 @@ def test_caches_stay_bounded_after_a_sweep():
     tables = distributions._power_table.cache_info()
     assert tables.maxsize == 2 and tables.currsize <= 2
     assert distributions._coefficients.cache_info().maxsize == 1
+
+
+# A size past sys.maxsize is refused before anything is allocated. Only such
+# sizes run here: a size below it would really allocate (or loop) that much.
+@pytest.mark.parametrize(
+    "make",
+    [uniform, degenerate, lambda n: binomial(n, 0.0), lambda n: binomial(n - 1, 1.0)],
+    ids=["uniform", "degenerate", "binomial-n", "binomial-outcomes"],
+)
+@pytest.mark.parametrize("n", [sys.maxsize + 1, 2**63, 10**20])
+def test_a_size_past_the_index_range_is_a_parameter_error(make, n):
+    with pytest.raises(ParameterOutOfRange, match=r"^need n <= \d+, got \d+$"):
+        make(n)
+
+
+def test_a_sweep_refuses_an_n_past_the_index_range():
+    with pytest.raises(ParameterOutOfRange, match=rf"^need n <= {sys.maxsize - 1}, got {10**20}$"):
+        sweep_binomial([10**20], 2)

@@ -1,6 +1,7 @@
 """Unit tests for the Monte-Carlo and cross-path validators."""
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -259,3 +260,11 @@ def test_rel_treats_infinities_as_analyze_does():
     assert _rel(2.0, math.inf) == math.inf
     assert _rel(math.nan, math.nan) == math.inf
     assert _rel(3.0, 1.0) == 2.0 / 3.0
+
+
+@pytest.mark.parametrize("n", [sys.maxsize + 1, 2**63])
+def test_an_n_past_the_index_range_is_refused_before_numpy_draws(n):
+    with pytest.raises(ParameterOutOfRange, match=rf"^need n <= {sys.maxsize}, got {n}$"):
+        sample_simplex(n, 1.0, 1, np.random.default_rng(0))
+    with pytest.raises(ParameterOutOfRange, match=rf"^need n <= {sys.maxsize}, got {n}$"):
+        mc_max_variance(n, 1.0, 1, 0)

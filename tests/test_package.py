@@ -1,5 +1,8 @@
 """The package's public names: each module's ``__all__`` decides, the package re-exports."""
 
+import os
+import subprocess
+import sys
 import typing
 
 import equivar
@@ -55,3 +58,55 @@ def test_every_public_annotation_resolves():
             if callable(attr):
                 # A staticmethod such as a record's __new__ is read through its function.
                 typing.get_type_hints(getattr(attr, "__func__", attr))
+
+
+# ----------------------------------------------------------------------
+# import footprint: each module loads on the first use of one of its names
+
+# A fresh interpreter told where this checkout's package lies.
+_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(equivar.__file__))}
+
+
+def _imported(*args: str) -> set[str]:
+    """The modules a fresh ``python -X importtime ARGS`` imports, read from its stderr."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, env=_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_import_equivar_loads_no_module_of_its_own_no_json_and_no_numpy():
+    # A dunder probe, such as doctest's for __test__, loads nothing either.
+    loaded = _imported("-c", "import equivar; hasattr(equivar, '__test__')")
+    assert "equivar" in loaded
+    assert {m for m in loaded if m.startswith("equivar.") or m in ("json", "numpy")} == set()
+
+
+def test_cli_analyze_loads_neither_distributions_nor_oracle_nor_numpy():
+    loaded = _imported("-m", "equivar", "analyze", "--probs", "0.5", "--probs", "0.5",
+                       "--no-timestamp")
+    assert {"equivar.cli", "equivar.indicators"} <= loaded
+    assert loaded.isdisjoint({"equivar.distributions", "equivar.oracle", "numpy"})
+
+
+def test_dir_lists_every_export():
+    assert set(dir(equivar)) >= set(equivar.__all__)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from equivar import *", namespace)
+    for name in equivar.__all__:
+        assert namespace[name] is getattr(equivar, name)
+
+
+def test_an_export_is_bound_into_the_package_on_first_use(monkeypatch):
+    monkeypatch.delitem(vars(equivar), "analyze", raising=False)
+    assert equivar.analyze is indicators.analyze
+    assert vars(equivar)["analyze"] is indicators.analyze
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    for name in ("no_such_export", "__wrapped__"):
+        assert not hasattr(equivar, name)
