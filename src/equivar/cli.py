@@ -1,7 +1,7 @@
 """Command-line front end: analyze vectors, sweep binomials, process area tables, run oracles.
 
 Exit codes follow one contract everywhere: 0 success, 1 an oracle check
-failed, 2 data, validation or memory error, 64 usage error. Every JSON output is
+failed, 2 data, validation, memory or write error, 64 usage error. Every JSON output is
 wrapped in an envelope (tool_version, command, generated_at, payload);
 CSV outputs carry the same metadata as ``#`` comment lines. The envelope
 is built once per run, so every output of one run carries the same one,
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Sequence
@@ -64,14 +65,28 @@ def _metadata(args) -> dict:
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError("cannot write output: stdout is closed")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # The text is still buffered, and the flush at exit would fail
+            # again and set the exit status to 120: point fd 1 at os.devnull.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise OSError(f"cannot write output: {exc}") from None
         return
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise OSError(f"cannot open output: {exc}") from None
-    with fh:
-        fh.write(text)
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write output: {exc}") from None
 
 
 def _nonfinite_as_strings(obj):

@@ -230,8 +230,9 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     every report field is independent of the order of the outcomes.
     """
     p_steps = _integer(p_steps, "p_steps", 2)
+    # Every n is read before any cell is built, so a bad one costs no work.
     try:
-        ns = list(ns)
+        ns = [_integer(n, "n", 1, ZeroSize, sys.maxsize - 1) for n in ns]
     except TypeError:
         raise ParameterOutOfRange(f"need an iterable of trial counts, got {ns!r}") from None
     steps = p_steps - 1
@@ -239,7 +240,6 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     mirrored = dict.fromkeys(j for i in range(1, steps // 2 + 1) for j in (i, steps - i))
     points = []
     for n in ns:
-        n = _integer(n, "n", 1, ZeroSize)
         reports = {0: analyze(binomial(n, grid[0]))}
         for i in mirrored:
             reports[i] = analyze(binomial(n, grid[i]))

@@ -23,8 +23,9 @@ every report carries as a computed residual.
 Each formula is written once. The views of CV, cv, H, H_rel, F, G and D
 return one field of :func:`analyze`'s report (the same bits) and, like it,
 raise AllImpossible on an all-zero vector. The total, mean, variance,
-reference variance and Shannon entropy are 0.0 there; duality_check adds a
-log form.
+reference variance and Shannon entropy are 0.0 there. duality_check reads
+the same D, G and multiplicative residual as analyze and adds only the
+log form of the identity.
 
 Numerical contract: the algebraic indicators (sums, variance, CV, D, G)
 are evaluated in exact rational arithmetic (every float is an exact binary
@@ -45,10 +46,13 @@ Identities between them therefore hold to the last ulp: a uniform vector
 has CV exactly 0, the closed form of CV agrees exactly with sigma/mean, and
 the duality residual stays at rounding level (~1e-16) for any valid input.
 Entropy and H_rel use correctly rounded float summation (math.fsum) of
-the terms p * log2(p), good to a few ulp. F = 2**H is not: it turns H's
-absolute error into a relative error about ln 2 * H times as large, so
-F's error grows with H (up to ~1500 ulp measured at H ~ 1000 bits, on
-tiny incomplete vectors). That is the conditioning of 2**H. Being
+the terms p * log2(p). While every term is a normal float, an error
+argument (in tests/test_accuracy.py, which checks it against 60 digits)
+bounds entropy_bits to 6 ulp and entropy_rel to 9 ulp; about 3 ulp is the
+most measured. F = 2**H turns H's absolute error into a relative error
+ln 2 * H times as large, so F is bounded by 1 + 6 ln 2 * H ulp: its error
+grows with H (up to ~1500 ulp measured at H ~ 1000 bits, on tiny
+incomplete vectors). That is the conditioning of 2**H. Being
 correctly rounded, fsum gives the same bits in any order, but it is much
 faster when the terms come largest first; so when the moment kernel has
 sorted the values into exponent windows, analyze sums the entropy terms
@@ -332,33 +336,42 @@ def _or_inf(compute, *args) -> float:
         return math.inf
 
 
-def _duality(n: int, s: int, s2: int, b: int) -> tuple[float, float, float, float]:
-    """D, G, N / p_total^2 and the relative defect of D * G against the last.
+def _exact_fields(dist: Distribution) -> tuple[Sequence[float], dict, float | None]:
+    """The kernel's non-zero values, the report fields its sums fix, and N / p_total^2.
 
-    D * G == N / p_total^2 holds exactly in rational arithmetic, so when a
-    side overflows the float range the defect of the exact ratio is 0.
+    On an all-zero vector N / p_total^2 is None and the fields are the four
+    defined there (p_total, p_mean, variance, ref_variance), each 0.0.
+    Otherwise they also hold cv, cv_rel, D, G and the relative defect of
+    D * G against N / p_total^2. That identity holds exactly in rational
+    arithmetic, so when a side overflows the float range the defect of the
+    exact ratio is 0.
     """
+    n = dist.n
+    s, s2, b, nonzero = _moments(dist.probs, dist._extremes)
     ss = s * s
+    # ss * CV^2 == N^2 * 4**b * variance; >= 0 by Cauchy-Schwarz
+    spread = n * s2 - ss
+    fields = {
+        "p_total": s / (1 << b),
+        "p_mean": s / (n << b),
+        # Exact, so non-negative by construction: no round-off clamp.
+        "variance": spread / (n * n << 2 * b),
+        "ref_variance": ss * (n - 1) / (n * n << 2 * b),
+    }
+    if s == 0:
+        return nonzero, fields, None
     d = _or_inf(truediv, 1 << 2 * b, s2)
     g = n * s2 / ss  # CV^2 + 1 = N * sum(p^2) / p_total^2
     rhs = _or_inf(truediv, n << 2 * b, ss)
     product = d * g
-    if math.isfinite(product) and math.isfinite(rhs):
-        return d, g, rhs, abs(product - rhs) / rhs
-    return d, g, rhs, 0.0
-
-
-def _exact_fields(dist: Distribution) -> tuple[tuple, dict]:
-    """The kernel's ``(s, s2, b, nonzero)`` and the report fields it alone fixes, 0.0 if s == 0."""
-    n = dist.n
-    s, s2, b, _ = kernel = _moments(dist.probs, dist._extremes)
-    return kernel, {
-        "p_total": s / (1 << b),
-        "p_mean": s / (n << b),
-        # Exact, so non-negative by construction: no round-off clamp.
-        "variance": (n * s2 - s * s) / (n * n << 2 * b),
-        "ref_variance": s * s * (n - 1) / (n * n << 2 * b),
-    }
+    fields["cv"] = math.sqrt(spread / ss)
+    fields["cv_rel"] = 0.0 if n == 1 else math.sqrt(spread / ((n - 1) * ss))
+    fields["equiv_number_d"] = d
+    fields["equiv_number_g"] = g
+    fields["duality_residual"] = (
+        abs(product - rhs) / rhs if math.isfinite(product) and math.isfinite(rhs) else 0.0
+    )
+    return nonzero, fields, rhs
 
 
 def total_probability(dist: Distribution) -> float:
@@ -471,14 +484,14 @@ def duality_check(dist: Distribution) -> tuple[float, float]:
     side may be 0). When either side overflows the float range, the
     identity is checked on the exact ratio instead.
     """
-    n = dist.n
-    (s, s2, b, _), fields = _exact_fields(dist)
-    if s == 0:
+    _, fields, rhs = _exact_fields(dist)
+    if rhs is None:
         raise AllImpossible("duality undefined: zero total probability")
-    d, g, rhs, residual = _duality(n, s, s2, b)
+    d, g = fields["equiv_number_d"], fields["equiv_number_g"]
     product = d * g
+    residual = fields["duality_residual"]
     if math.isfinite(product) and math.isfinite(rhs):
-        log_rhs = math.log(n) - 2.0 * math.log(fields["p_total"])
+        log_rhs = math.log(dist.n) - 2.0 * math.log(fields["p_total"])
         log_residual = abs(math.log(d) + math.log(g) - log_rhs) / max(1.0, abs(log_rhs))
         residual = max(residual, log_residual)
     return product, residual
@@ -491,30 +504,14 @@ def analyze(dist: Distribution) -> IndicatorReport:
     mean-relative indicators are undefined there.
     """
     n = dist.n
-    (s, s2, b, nonzero), fields = _exact_fields(dist)
-    if s == 0:
+    nonzero, fields, rhs = _exact_fields(dist)
+    if rhs is None:
         raise AllImpossible("indicators undefined: zero total probability")
-
-    ss = s * s
-    # ss * CV^2 == N^2 * 4**b * variance; >= 0 by Cauchy-Schwarz
-    spread = n * s2 - ss
-    cv = math.sqrt(spread / ss)
-    cv_rel = 0.0 if n == 1 else math.sqrt(spread / ((n - 1) * ss))
-
     h_bits = _entropy(nonzero) / fields["p_total"]
-    h_rel = 0.0 if n == 1 else h_bits / math.log2(n)
-    f = _or_inf(pow, 2.0, h_bits)
-
-    d, g, _, residual = _duality(n, s, s2, b)
     return IndicatorReport(
         n_outcomes=n,
         **fields,
-        cv=cv,
-        cv_rel=cv_rel,
         entropy_bits=h_bits,
-        entropy_rel=h_rel,
-        avg_number_f=f,
-        equiv_number_d=d,
-        equiv_number_g=g,
-        duality_residual=residual,
+        entropy_rel=0.0 if n == 1 else h_bits / math.log2(n),
+        avg_number_f=_or_inf(pow, 2.0, h_bits),
     )

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import csv
+import errno
 import io
 import json
 import math
@@ -542,6 +543,45 @@ def test_an_output_that_cannot_be_opened_says_so(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, str(missing))
     assert (code, out) == (2, "")
     assert err == f"equivar: cannot open output: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+# A write failure is one line and exit 2. Unbuffered (PYTHONUNBUFFERED), the
+# write itself fails; buffered, the flush does, and the text it leaves
+# behind must not fail again at exit, which would set the status to 120.
+_ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+def _buffered_run(argv, **kwargs):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(argv, stderr=subprocess.PIPE, text=True, env=env, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--probs", "0.5", "--probs", "0.5"],
+        ["binomial-sweep", "--n", "3", "--p-steps", "3"],
+        ["analyze", "--probs", "0.5", "--probs", "0.5", "--output", "/dev/full"],
+    ],
+    ids=["analyze", "binomial-sweep", "output-file"],
+)
+def test_a_failed_write_is_one_line_and_exit_2(argv):
+    with open("/dev/full", "w") as full:
+        proc = _buffered_run([sys.executable, "-m", "equivar", *argv, "--no-timestamp"], stdout=full)
+    assert (proc.returncode, proc.stderr) == (2, f"equivar: cannot write output: {_ENOSPC}\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 with sh")
+def test_a_closed_stdout_is_one_line_and_exit_2():
+    proc = _buffered_run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "equivar",
+         "analyze", "--probs", "0.5", "--probs", "0.5", "--no-timestamp"],
+    )
+    # With fd 1 closed at start CPython sets sys.stdout to None; a stream
+    # left on a closed fd would fail its write with EBADF. Either is one line.
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("equivar: cannot write output: ") and proc.stderr.count("\n") == 1
 
 
 def test_gws_chart_that_cannot_be_opened_still_leaves_the_report(capsys, tmp_path):

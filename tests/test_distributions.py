@@ -540,3 +540,16 @@ def test_a_size_past_the_index_range_is_a_parameter_error(make, n):
 def test_a_sweep_refuses_an_n_past_the_index_range():
     with pytest.raises(ParameterOutOfRange, match=rf"^need n <= {sys.maxsize - 1}, got {10**20}$"):
         sweep_binomial([10**20], 2)
+
+
+@pytest.mark.parametrize(
+    "ns, error",
+    [([30000, 0], ZeroSize), ([3, 2.5], ParameterOutOfRange), ([3, 10**20], ParameterOutOfRange)],
+    ids=["zero", "not-an-integer", "past-the-index-range"],
+)
+def test_a_sweep_reads_every_n_before_it_builds_a_cell(monkeypatch, ns, error):
+    calls = []
+    monkeypatch.setattr(distributions, "binomial", lambda n, p: calls.append((n, p)))
+    with pytest.raises(error):
+        sweep_binomial(ns, 3)
+    assert calls == []
