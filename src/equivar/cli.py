@@ -63,6 +63,17 @@ def _metadata(args) -> dict:
     return meta
 
 
+def _to_devnull(stream) -> None:
+    """Point the fd of a stream whose write failed at os.devnull.
+
+    The text is still buffered, and the flush at exit would fail again and
+    set the exit status to 120.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         if sys.stdout is None:  # fd 1 was closed when the interpreter started
@@ -71,11 +82,7 @@ def _write_text(path: str | None, text: str) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
-            # The text is still buffered, and the flush at exit would fail
-            # again and set the exit status to 120: point fd 1 at os.devnull.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _to_devnull(sys.stdout)
             raise OSError(f"cannot write output: {exc}") from None
         return
     try:
@@ -350,6 +357,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _fail(code: int, message: str) -> int:
+    """Print ``equivar: message`` on stderr and return code.
+
+    A closed or failing stderr loses the line, not the exit code.
+    """
+    if sys.stderr is not None:  # None when fd 2 was closed at start
+        try:
+            print(f"{PROG}: {message}", file=sys.stderr)
+        except OSError:
+            _to_devnull(sys.stderr)
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -359,17 +379,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     # (n, p_steps, p_total, trials, seed): a grid p is always in range, and
     # validating a vector raises neither. So each names a flag value.
     except (_UsageError, ParameterOutOfRange, ZeroSize) as exc:
-        print(f"{PROG}: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"usage error: {exc}")
     except EquivarError as exc:
-        print(f"{PROG}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
+        return _fail(EXIT_DATA_ERROR, f"{type(exc).__name__}: {exc}")
     except OSError as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
+        return _fail(EXIT_DATA_ERROR, str(exc))
     except MemoryError as exc:
-        print(f"{PROG}: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
-        return EXIT_DATA_ERROR
+        return _fail(EXIT_DATA_ERROR, f"out of memory: {str(exc) or 'an allocation failed'}")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import threading
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
@@ -117,26 +118,66 @@ def degenerate(n: int, sure_index: int = 0) -> Distribution:
     return Distribution(probs)
 
 
-# Two tables, the p and q of the last binomial cell: in a sweep, the cell
-# at 1 - p reads p's table as its q table and q's as its p table. Keys
+# x**k depends on the base x and on k alone, so each base has one table of
+# plain powers that every n reads, grown when a larger n asks for more.
+# Four bases are kept: the two cells of one mirrored sweep pair read at most
+# p, 1 - p, p' and 1 - p', and a 3- or 5-point grid has three bases, so
+# each n of a sweep on such a grid reads the powers the last n left. Keys
 # cannot collide: p and q are floats, and -0.0 is the only zero that
 # reaches a table, because p = +0.0 and p = 1 are built in closed form.
-@lru_cache(maxsize=2)
-def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[list[float], list[int]]:
+_BASES_KEPT = 4
+_tables: dict[float, tuple[float, ...]] = {}
+_tables_lock = threading.Lock()
+
+
+def _grow(x: float, table: tuple[float, ...], stop: int) -> tuple[float, ...]:
+    """The table of base x extended to x**k for k = 0..stop - 1, and kept.
+
+    A table is never changed in place: the longer one is a new tuple that
+    replaces the entry, so a thread still reading the old one reads a whole
+    table, and the entry keeps the longest table any thread built. A new or
+    grown base goes last, and past four bases the first one is dropped.
+    """
+    table = table + tuple(map(pow, repeat(x), range(len(table), stop)))
+    with _tables_lock:
+        if len(_tables.get(x, ())) < stop:
+            _tables.pop(x, None)
+            _tables[x] = table
+            if len(_tables) > _BASES_KEPT:
+                del _tables[next(iter(_tables))]
+    return table
+
+
+@lru_cache(maxsize=_BASES_KEPT)
+def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[Sequence[float], Sequence[int]]:
     """x**k for k = 0..n, split into mantissa and exponent for k = lo..hi - 1.
 
     Returns ``(powers, exps)``. For k in the run lo..hi - 1, the k whose
     coefficients are past the float range (see _coefficients),
     ``powers[k]`` is a mantissa and ``exps[k - lo]`` its binary exponent;
-    elsewhere ``powers[k]`` is x**k. The split powers keep a result below
-    the float range, and round as a chunked loop does: x's mantissa m lies
-    in [0.5, 1), so m**b never underflows for b <= 1000; ``head`` and
-    ``shift`` are the loop's renormalized mantissa and summed exponent after
-    each full chunk of 1000, and k = a + b takes ``frexp(head * m**b)``
-    from chunk a's.
+    elsewhere ``powers[k]`` is x**k, read from the table of base x. That
+    table grows to n + 1 powers unless it would then compute x**k on the
+    run, which this n does not read: it then grows to lo, and x**k for
+    k = hi..n is computed here. So a call from cold caches makes the same
+    pow calls as one that builds every power it reads.
+
+    The split powers keep a result below the float range, and round as a
+    chunked loop does: x's mantissa m lies in [0.5, 1), so m**b never
+    underflows for b <= 1000; ``head`` and ``shift`` are the loop's
+    renormalized mantissa and summed exponent after each full chunk of 1000,
+    and k = a + b takes ``frexp(head * m**b)`` from chunk a's. They depend
+    on (x, k) alone too, but the run moves with n, so they are kept with
+    the result, for four (x, n) pairs: the mirror cell of a sweep and a
+    repeated call read them. Every caller only reads the result.
     """
+    table = _tables.get(x, ())
+    stop = n + 1 if max(len(table), lo) >= hi else lo
+    if len(table) < stop:
+        table = _grow(x, table, stop)
+    if lo == hi:
+        return table[: n + 1], ()
     m, e = math.frexp(x)
-    powers = list(map(pow, repeat(x), range(lo)))
+    powers = list(table[:lo])
     exps: list[int] = []
     head, shift = 1.0, 0
     for a in range(0, hi, 1000):
@@ -146,7 +187,7 @@ def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[list[float], list[
         exps += [e * (a + b) + shift + f[1] for b, f in zip(bs, fr)]
         head, r = math.frexp(head * m**1000)
         shift += r
-    powers += map(pow, repeat(x), range(hi, n + 1))
+    powers += table[hi : n + 1] if len(table) > n else map(pow, repeat(x), range(hi, n + 1))
     return powers, exps
 
 
@@ -190,8 +231,11 @@ def binomial(n: int, p: float) -> Distribution:
     p may be any real number; it is read as ``float(p)``. Each term is
     ``C(n, k) * p**k * q**(n - k)``, evaluated in that order in one product
     pass over the coefficient row (cached for the last n; see _coefficients)
-    and one power table per base (cached for the last two bases, so the
-    mirror cell 1 - p of a sweep reads them; see _power_table). For
+    and the powers of p and of q. Those come from one table per base, kept
+    for four bases and read by every n, so a later call on the same base,
+    with this n or another, and the mirror cell 1 - p of a sweep reuse them
+    (see _power_table); a kept table is replaced, never changed, so calls
+    from many threads at once read whole tables. For
     n <= 1029 every coefficient fits a float, and ``float(C(n, k)) * x``
     rounds exactly as ``C(n, k) * x`` does, so every bit equals that of
     0.1.0, which called math.comb per term. From n = 1030 on, the k whose
@@ -223,11 +267,15 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     """Analyze B(n, p) for each n over a uniform p grid including both endpoints.
 
     The grid is {0, 1/(p_steps-1), ..., 1}; output is row-major (n outer,
-    p inner), one fully analyzed SweepPoint per cell. Each inner cell is
-    built right after its mirror cell, so the two share their power tables
-    wherever ``1 - p`` of one is exactly the other's p. The p = 1 cell
-    carries the report of the p = 0 cell: its pmf is that one reversed, and
-    every report field is independent of the order of the outcomes.
+    p inner), one fully analyzed SweepPoint per cell. The power tables are
+    kept per base, not per n, and a growing table is replaced, never
+    changed (see binomial), so every n of the sweep reads the powers the
+    last n left on the same grid. Each inner cell is built right after its
+    mirror cell, so the two cells of a pair read at most four bases, as
+    many as are kept, and share a table wherever ``1 - p`` of one is
+    exactly the other's p. The p = 1 cell carries the report of the p = 0
+    cell: its pmf is that one reversed, and every report field is
+    independent of the order of the outcomes.
     """
     p_steps = _integer(p_steps, "p_steps", 2)
     # Every n is read before any cell is built, so a bad one costs no work.

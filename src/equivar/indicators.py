@@ -41,7 +41,8 @@ span more binary orders than one such integer should hold, the sorted
 values are cut into exponent windows, each scaled by its own power of
 two, and the window sums are shifted onto the lowest. Each algebraic
 field is then one int / int true division, which CPython rounds
-correctly (CV and its relative form take the square root of one).
+correctly (CV and its relative form take the square root of one, so
+each is within 1 ulp: 0.5 from the quotient and 0.5 from the root).
 Identities between them therefore hold to the last ulp: a uniform vector
 has CV exactly 0, the closed form of CV agrees exactly with sigma/mean, and
 the duality residual stays at rounding level (~1e-16) for any valid input.

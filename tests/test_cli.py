@@ -584,6 +584,43 @@ def test_a_closed_stdout_is_one_line_and_exit_2():
     assert proc.stderr.startswith("equivar: cannot write output: ") and proc.stderr.count("\n") == 1
 
 
+# With fd 2 closed the diagnostic cannot be printed, and the failed write
+# must not turn the exit code into 1 (an oracle check failed) or 120.
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 2 with sh")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "--probs", "2"], 2),
+        (["analyze", "--probs", "0.5", "--bogus"], 64),
+        (["binomial-sweep", "--n", "0", "--p-steps", "3"], 64),
+        (["analyze", "--probs", "0.5", "--probs", "0.5", "--no-timestamp"], 0),
+    ],
+    ids=["data-error", "usage-error", "parameter-error", "ok"],
+)
+def test_a_closed_stderr_keeps_the_exit_code(argv, code, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "equivar", *argv],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    assert proc.returncode == code
+    assert (proc.stdout == "") == (code != 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_with_a_closed_stderr_is_exit_2():
+    with open("/dev/full", "w") as full:
+        proc = _buffered_run(
+            ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "equivar",
+             "analyze", "--probs", "0.5", "--probs", "0.5", "--no-timestamp"],
+            stdout=full,
+        )
+    assert proc.returncode == 2
+
+
 def test_gws_chart_that_cannot_be_opened_still_leaves_the_report(capsys, tmp_path):
     report, chart = tmp_path / "r.json", tmp_path / "no-such-dir" / "c.csv"
     code, out, err = run(

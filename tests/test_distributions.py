@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -210,7 +211,7 @@ def test_binomial_reads_a_real_p_as_the_equal_float(n, p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _hex(binomial(n, p).probs)
-    distributions._power_table.cache_clear()
+    _clear_power_tables()
     assert got == _hex(binomial(n, float(p)).probs)
 
 
@@ -465,9 +466,14 @@ def test_run_entries_are_the_sticky_cut_of_the_exact_coefficient(n, offset):
 # the power tables shared by mirror cells
 
 
+def _clear_power_tables():
+    distributions._tables.clear()
+    distributions._power_table.cache_clear()
+
+
 def _clear_caches():
     distributions._coefficients.cache_clear()
-    distributions._power_table.cache_clear()
+    _clear_power_tables()
 
 
 @given(
@@ -485,10 +491,24 @@ def _clear_caches():
 @example([(3, 101, 0.7), (1031, 11, 0.9)])  # cells whose 1 - p is not the mirror point
 @example([(40, 2, 1.0), (40, 2, -0.0)])
 @example([(1031, 2, 1.0), (1031, 2, -0.0)])
+@example([(900, 5, 0.3), (40, 5, 0.3)])  # a smaller n reads a prefix of the table
+@example([(40, 5, 0.3), (900, 5, 0.3)])  # a larger n grows it
+# Up across n = 1030: a table short of the run's end grows to lo and the
+# powers past the run are computed for the call; a longer one grows to n + 1.
+@example([(40, 3, 0.5), (1100, 3, 0.5)])
+@example([(900, 3, 0.5), (1100, 3, 0.5)])
+# Down across n = 1030: n = 1100 leaves the table at lo = 388, which n = 500
+# grows and n = 200 reads a prefix of.
+@example([(1100, 5, 0.25), (500, 5, 0.25)])
+@example([(1100, 5, 0.25), (200, 5, 0.25)])
+@example([(1100, 5, 0.75), (2000, 5, 0.25)])  # both past it, n up, then down
+@example([(2000, 5, 0.25), (1100, 5, 0.75)])
 @settings(max_examples=8, deadline=None)
 def test_shared_power_tables_keep_every_bit(draws):
     # Calls run back to back, so each may read the tables the last one left;
-    # the references are computed afterwards, each from cleared caches.
+    # the references are computed afterwards, each from cleared caches. The
+    # first call starts from cleared caches too, as the examples' notes say.
+    _clear_caches()
     singles, points = [], []
     for n, p_steps, p in draws:
         singles.append((n, p, _hex(binomial(n, p).probs)))
@@ -518,10 +538,54 @@ def test_big_terms_over_many_chunks_keep_their_bits(p):
 
 
 def test_caches_stay_bounded_after_a_sweep():
+    _clear_caches()
     sweep_binomial([1100, 40], 101)
-    tables = distributions._power_table.cache_info()
-    assert tables.maxsize == 2 and tables.currsize <= 2
+    assert 0 < len(distributions._tables) <= 4
+    assert max(map(len, distributions._tables.values())) <= 1101
+    results = distributions._power_table.cache_info()
+    assert results.maxsize == 4 and results.currsize <= 4
     assert distributions._coefficients.cache_info().maxsize == 1
+
+
+def _cell_bits(task):
+    """The bits of one task: the pmf of ``binomial(n, p)``, or every report of
+    ``sweep_binomial([n], 5)``."""
+    if task[0] == "binomial":
+        return _hex(binomial(*task[1:]).probs)
+    return [_hex(pt.report.to_dict().values()) for pt in sweep_binomial([task[1]], 5)]
+
+
+def test_threads_sharing_the_power_tables_get_every_bit():
+    # Interleaved n across the run's bounds (lo = 388 and hi = 713 at
+    # n = 1100) and across n = 1030, on the bases of a 5-point grid.
+    ns = [1100, 3, 1030, 713, 40, 1050, 1, 900, 388, 1029, 200, 2, 712, 500, 7]
+    tasks = [("sweep", n) for n in ns]
+    tasks += [("binomial", n, p) for n in ns for p in (0.25, 0.5, 0.75)]
+    want = []
+    for task in tasks:
+        _clear_caches()
+        want.append(_cell_bits(task))
+
+    def work(order, got):
+        for i in order:
+            got[i] = _cell_bits(tasks[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(20):  # each round from cleared caches, the tasks dealt anew
+            _clear_caches()
+            got = {}
+            order = [(i + 7 * r) % len(tasks) for i in range(len(tasks))]
+            threads = [threading.Thread(target=work, args=(order[t::4], got)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert [got.get(i) for i in range(len(tasks))] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # A size past sys.maxsize is refused before anything is allocated. Only such
