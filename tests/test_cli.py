@@ -1046,6 +1046,13 @@ def test_a_size_past_the_index_range_is_a_usage_error(capsys, argv, most):
     assert err == f"equivar: usage error: need n <= {most}, got {argv[argv.index('--n') + 1]}\n"
 
 
+@pytest.mark.parametrize("p_steps", [2**63, 10**20])
+def test_p_steps_past_the_index_range_is_a_usage_error(capsys, p_steps):
+    code, out, err = run(capsys, "binomial-sweep", "--n", "1", "--p-steps", str(p_steps))
+    assert (code, out) == (64, "")
+    assert err == f"equivar: usage error: need p_steps <= {sys.maxsize}, got {p_steps}\n"
+
+
 @pytest.mark.parametrize(
     "exc, line",
     [

@@ -617,3 +617,94 @@ def test_a_sweep_reads_every_n_before_it_builds_a_cell(monkeypatch, ns, error):
     with pytest.raises(error):
         sweep_binomial(ns, 3)
     assert calls == []
+
+
+@pytest.mark.parametrize("p_steps", [2**63, 10**20])
+def test_a_sweep_refuses_p_steps_past_the_index_range(monkeypatch, p_steps):
+    calls = []
+    monkeypatch.setattr(distributions, "binomial", lambda n, p: calls.append((n, p)))
+    with pytest.raises(ParameterOutOfRange, match=rf"^need p_steps <= {sys.maxsize}, got {p_steps}$"):
+        sweep_binomial([1], p_steps)
+    assert calls == []
+
+
+# ----------------------------------------------------------------------
+# a sweep analyzes each distinct pmf once
+
+
+@given(st.integers(min_value=1, max_value=1100), st.integers(min_value=2, max_value=21))
+@example(1029, 5)
+@example(1030, 11)
+@example(1100, 9)
+@settings(max_examples=15, deadline=None)
+def test_every_sweep_cell_is_the_report_of_its_own_pmf(n, p_steps):
+    for pt in sweep_binomial([n], p_steps):
+        want = analyze(binomial(n, pt.p))
+        assert _hex(pt.report) == _hex(want), (n, pt.p)
+
+
+def _count_analyze_calls(monkeypatch):
+    calls = []
+
+    def counted(dist):
+        calls.append(dist)
+        return analyze(dist)
+
+    monkeypatch.setattr(distributions, "analyze", counted)
+    return calls
+
+
+def _unreversed_pairs(n, p_steps):
+    steps = p_steps - 1
+    grid = [i / steps for i in range(p_steps)]
+    return sum(
+        binomial(n, grid[steps - i]).probs != binomial(n, grid[i]).probs[::-1]
+        for i in range(1, (steps + 1) // 2)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 40, 1030, 1100])
+@pytest.mark.parametrize("p_steps, calls_per_n", [(2, 1), (3, 2), (5, 3)])
+def test_a_reversed_mirror_pmf_is_not_analyzed_again(monkeypatch, n, p_steps, calls_per_n):
+    assert _unreversed_pairs(n, p_steps) == 0
+    calls = _count_analyze_calls(monkeypatch)
+    sweep_binomial([n, n], p_steps)
+    assert len(calls) == 2 * calls_per_n
+
+
+@pytest.mark.parametrize("n", [40, 1030])
+@pytest.mark.parametrize("p_steps", [9, 11, 21])
+def test_each_unreversed_mirror_pmf_is_analyzed_once_more(monkeypatch, n, p_steps):
+    # 1 - p rounds, so on these grids some mirror pmfs differ from their
+    # partner's reversal in low bits: 1 of 3 pairs at 9 points, every pair
+    # at 11, 8 of 9 at 21.
+    extra = _unreversed_pairs(n, p_steps)
+    assert extra > 0
+    calls = _count_analyze_calls(monkeypatch)
+    sweep_binomial([n], p_steps)
+    assert len(calls) == 1 + (p_steps - 1) // 2 + extra
+
+
+def test_a_mirror_pmf_one_bit_off_takes_its_own_report(monkeypatch):
+    # On a 5-point grid B(n, 0.75) is B(n, 0.25) reversed, bit for bit, so
+    # only a changed pmf takes the fallback: the largest term of the p = 0.75
+    # pmf moves up by one ulp.
+    n = 40
+
+    def perturbed(n, p):
+        d = binomial(n, p)
+        if p != 0.75:
+            return d
+        probs = list(d.probs)
+        k = probs.index(max(probs))
+        probs[k] = math.nextafter(probs[k], 1.0)
+        return Distribution(tuple(probs))
+
+    monkeypatch.setattr(distributions, "binomial", perturbed)
+    calls = _count_analyze_calls(monkeypatch)
+    points = sweep_binomial([n], 5)
+    assert len(calls) == 4
+    partner, mirror = points[1].report, points[3].report
+    want = analyze(perturbed(n, 0.75))
+    assert _hex(mirror) == _hex(want)
+    assert _hex(mirror) != _hex(partner)
