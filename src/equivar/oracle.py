@@ -15,7 +15,7 @@ from collections import namedtuple
 from operator import truediv
 
 from .distributions import _integer, _unit_interval
-from .errors import IncompleteDistribution
+from .errors import IncompleteDistribution, ParameterOutOfRange
 from .indicators import TOL_SUM, Distribution, _or_inf, analyze, total_probability
 
 __all__ = [
@@ -30,10 +30,15 @@ __all__ = [
 # A check passes when its residual does not exceed this.
 ORACLE_TOL = 1e-12
 
-# Values per chunk of Monte-Carlo draws: for n <= 2**22 a chunk's (block, n)
-# float64 array is at most 32 MB, and each of its few temporaries too. A
-# larger n draws one vector per chunk, whose array takes 8 * n bytes.
-_MC_VALUES = 1 << 22
+# Values per chunk of Monte-Carlo draws: for n <= 2**14 a chunk's (block, n)
+# float64 array is at most 128 KB, and each of its few temporaries too, so
+# peak memory does not grow with the trial count. A larger n draws one
+# vector per chunk, whose array takes 8 * n bytes. The chunk size moves no
+# bit of the result: standard_exponential fills its array row by row from
+# one generator, so chunks of whole rows read the same stream in the same
+# order; each row's sum, scale and variance depend on that row alone; and
+# the max of the chunk maxima is the max over all rows.
+_MC_VALUES = 1 << 14
 
 
 class OracleResult(
@@ -63,15 +68,24 @@ def sample_simplex(n: int, p_total: float, trials: int, rng):
 
     Normalized unit-exponential draws are Dirichlet(1, ..., 1), i.e. uniform
     on the simplex; scaling by p_total moves them to the incomplete shell.
-    ``rng`` is a numpy ``Generator``; returns a numpy array of shape
-    (trials, n). Raises ParameterOutOfRange unless 1 <= n <= sys.maxsize,
-    0 < p_total <= 1 and trials >= 1.
+    ``rng`` is a numpy ``Generator`` (a legacy ``RandomState`` works too);
+    returns a numpy array of shape (trials, n), scaled in place, so the call
+    holds one such array. Raises ParameterOutOfRange unless
+    1 <= n <= sys.maxsize, 0 < p_total <= 1, trials >= 1 and ``rng`` has a
+    ``standard_exponential`` method.
     """
     n = _integer(n, "n", 1, most=sys.maxsize)
     p_total = _unit_interval(p_total, "p_total", above_zero=True)
     trials = _integer(trials, "trials", 1)
-    e = rng.standard_exponential((trials, n))
-    return (p_total / e.sum(axis=1))[:, None] * e
+    try:
+        draw = rng.standard_exponential
+    except AttributeError:
+        raise ParameterOutOfRange(
+            f"need a numpy Generator or RandomState rng, got {rng!r}"
+        ) from None
+    e = draw((trials, n))
+    e *= (p_total / e.sum(axis=1))[:, None]
+    return e
 
 
 def mc_max_variance(n: int, p_total: float, trials: int, seed: int) -> OracleResult:
@@ -81,6 +95,14 @@ def mc_max_variance(n: int, p_total: float, trials: int, seed: int) -> OracleRes
     tracks the largest population variance seen. The reference value is the
     cap p_total^2 * (n - 1) / n^2; the residual is the worst overshoot
     beyond it (0 when every sample stayed below, the expected outcome).
+
+    The draws go in chunks of about ``_MC_VALUES`` values (one vector per
+    chunk when n is larger), so peak memory is a few chunk-sized arrays
+    whatever ``trials`` is. ``value_found`` does not depend on the chunk
+    size: the generator fills each chunk row by row, so chunks of whole rows
+    read its stream in the same order; each row's sum, scale and variance
+    depend on that row alone; and the max of the chunk maxima is the max
+    over all rows.
     """
     n = _integer(n, "n", 2, most=sys.maxsize)
     p_total = _unit_interval(p_total, "p_total", above_zero=True)

@@ -2,11 +2,14 @@
 
 import math
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equivar import (
     analyze,
@@ -92,6 +95,42 @@ def test_mc_chunks_cap_values_so_rows_per_chunk_shrink_as_n_grows(monkeypatch):
         assert sum(sizes) == 50 and max(sizes) == rows
 
 
+def _value_found_hex_at(chunk, n, p_total, trials, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_MC_VALUES", chunk)
+        return mc_max_variance(n, p_total, trials, seed).value_found.hex()
+
+
+# 7/8/9 and 128/129 straddle the regimes of numpy's pairwise sum.
+@given(
+    n=st.integers(2, 300),
+    trials=st.integers(1, 3000),
+    seed=st.integers(0, 2**32),
+    p_total=st.sampled_from([1.0, 0.37, 0.9725, 1e-300]) | st.floats(1e-300, 1.0),
+)
+@example(n=7, trials=3000, seed=0, p_total=1.0)
+@example(n=8, trials=3000, seed=1, p_total=0.37)
+@example(n=9, trials=2999, seed=2, p_total=1e-300)
+@example(n=128, trials=1000, seed=3, p_total=1.0)
+@example(n=129, trials=1001, seed=4, p_total=0.9725)
+@settings(max_examples=60, deadline=None)
+def test_value_found_does_not_depend_on_the_chunk_size(n, p_total, trials, seed):
+    want = mc_max_variance(n, p_total, trials, seed).value_found.hex()
+    assert _value_found_hex_at(1 << 22, n, p_total, trials, seed) == want
+    assert _value_found_hex_at(n, n, p_total, trials, seed) == want  # one row per chunk
+
+
+def test_mc_peak_memory_does_not_grow_with_trials():
+    mc_max_variance(10, 1.0, 1, 0)  # numpy's own first-use set-up is not counted
+    tracemalloc.start()
+    try:
+        mc_max_variance(10, 1.0, 200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -138,6 +177,27 @@ def test_simplex_sampler_sums_and_range():
     assert x.shape == (1000, 6)
     assert (x >= 0).all()
     np.testing.assert_allclose(x.sum(axis=1), 0.9725, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (5000, 13), (77, 129), (3, 2)])
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("p_total", [1.0, 0.37, 1e-300])
+@pytest.mark.parametrize(
+    "make_rng", [np.random.default_rng, np.random.RandomState], ids=["generator", "random-state"]
+)
+def test_simplex_sampler_scales_in_place_to_the_same_bytes(shape, seed, p_total, make_rng):
+    e = make_rng(seed).standard_exponential(shape)
+    want = (p_total / e.sum(axis=1))[:, None] * e
+    got = sample_simplex(shape[1], p_total, shape[0], make_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rng", [None, 42, "rng", np.random.PCG64(0)], ids=["none", "int", "str", "bit-generator"]
+)
+def test_simplex_sampler_refuses_an_rng_that_cannot_draw(rng):
+    with pytest.raises(ParameterOutOfRange, match=r"^need a numpy Generator or RandomState rng, got "):
+        sample_simplex(3, 1.0, 2, rng)
 
 
 @pytest.mark.parametrize(
