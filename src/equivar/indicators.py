@@ -59,7 +59,12 @@ faster when the terms come largest first; so when the moment kernel has
 sorted the values into exponent windows, analyze sums the entropy terms
 over that sorted list, largest first. A vector that fits one window is not
 sorted (the sort would cost more than it saves) and is summed in its own
-order.
+order. A vector that reads the same reversed, as B(n, 1/2) and a uniform
+vector do, is summed over its first half, middle value included: the exact
+sums are twice the half's less the middle value's once, and the entropy is
+fsum of the half's terms, each doubled (exactly), less the middle term
+once. That is the same exact sum of the same terms, so every field keeps
+its bits; a vector whose first and last values differ pays one comparison.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul, truediv
 
 from .errors import (
@@ -337,8 +342,14 @@ def _or_inf(compute, *args) -> float:
         return math.inf
 
 
-def _exact_fields(dist: Distribution) -> tuple[Sequence[float], dict, float | None]:
-    """The kernel's non-zero values, the report fields its sums fix, and N / p_total^2.
+def _exact_fields(dist: Distribution) -> tuple[tuple, dict, float | None]:
+    """The entropy's arguments, the report fields the exact sums fix, and N / p_total^2.
+
+    The first value holds the arguments of :func:`_entropy`: the kernel's
+    non-zero values and None, or for a vector that reads the same reversed,
+    which is summed over its first half (its exact sums are twice the
+    half's less the middle value's once), the half's non-zero values and
+    the middle value (0.0 for even N).
 
     On an all-zero vector N / p_total^2 is None and the fields are the four
     defined there (p_total, p_mean, variance, ref_variance), each 0.0.
@@ -348,7 +359,22 @@ def _exact_fields(dist: Distribution) -> tuple[Sequence[float], dict, float | No
     exact ratio is 0.
     """
     n = dist.n
-    s, s2, b, nonzero = _moments(dist.probs, dist._extremes)
+    probs = dist.probs
+    m = n // 2
+    if probs[0] == probs[-1] and probs[:m] == probs[: n - m - 1 : -1]:
+        # The half holds every value of the vector (== treats -0.0 and 0.0
+        # alike, and zeros add nothing), so the extremes are the half's too.
+        s, s2, b, nonzero = _moments(probs[: n - m], dist._extremes)
+        mid = probs[m] if n % 2 else 0.0
+        # The middle value's scaled integer, exactly: ldexp(mid, b) would
+        # overflow for a large b, and the value is a whole multiple of 2**-b.
+        num, den = mid.as_integer_ratio()
+        k = (num << b) // den
+        s = 2 * s - k
+        s2 = 2 * s2 - k * k
+    else:
+        s, s2, b, nonzero = _moments(probs, dist._extremes)
+        mid = None
     ss = s * s
     # ss * CV^2 == N^2 * 4**b * variance; >= 0 by Cauchy-Schwarz
     spread = n * s2 - ss
@@ -360,7 +386,7 @@ def _exact_fields(dist: Distribution) -> tuple[Sequence[float], dict, float | No
         "ref_variance": ss * (n - 1) / (n * n << 2 * b),
     }
     if s == 0:
-        return nonzero, fields, None
+        return (nonzero, mid), fields, None
     d = _or_inf(truediv, 1 << 2 * b, s2)
     g = n * s2 / ss  # CV^2 + 1 = N * sum(p^2) / p_total^2
     rhs = _or_inf(truediv, n << 2 * b, ss)
@@ -372,7 +398,7 @@ def _exact_fields(dist: Distribution) -> tuple[Sequence[float], dict, float | No
     fields["duality_residual"] = (
         abs(product - rhs) / rhs if math.isfinite(product) and math.isfinite(rhs) else 0.0
     )
-    return nonzero, fields, rhs
+    return (nonzero, mid), fields, rhs
 
 
 def total_probability(dist: Distribution) -> float:
@@ -413,14 +439,20 @@ def relative_cv(dist: Distribution) -> float:
     return analyze(dist).cv_rel
 
 
-def _entropy(nonzero: Sequence[float]) -> float:
+def _entropy(nonzero: Sequence[float], mid: float | None = None) -> float:
     """-sum(p * log2 p) over non-zero probabilities, in bits.
 
     fsum rounds the exact sum of its terms correctly, so the order of the
     values changes no bit, only the time: fsum carries fewer partials when
-    the terms come largest first.
+    the terms come largest first. With ``mid`` given, ``nonzero`` is the
+    first half of a palindrome, ``mid`` included: its terms are doubled
+    (exactly) and the middle term is taken once away, so fsum rounds the
+    whole vector's exact sum.
     """
-    h = -math.fsum(map(mul, nonzero, map(math.log2, nonzero)))
+    terms = map(mul, nonzero, map(math.log2, nonzero))
+    if mid is not None:
+        terms = chain(map(mul, terms, repeat(2.0)), [-(mid * math.log2(mid))] if mid else [])
+    h = -math.fsum(terms)
     return h + 0.0  # normalize -0.0 from the all-certain case
 
 
@@ -505,10 +537,10 @@ def analyze(dist: Distribution) -> IndicatorReport:
     mean-relative indicators are undefined there.
     """
     n = dist.n
-    nonzero, fields, rhs = _exact_fields(dist)
+    summed, fields, rhs = _exact_fields(dist)
     if rhs is None:
         raise AllImpossible("indicators undefined: zero total probability")
-    h_bits = _entropy(nonzero) / fields["p_total"]
+    h_bits = _entropy(*summed) / fields["p_total"]
     return IndicatorReport(
         n_outcomes=n,
         **fields,

@@ -688,23 +688,42 @@ def test_each_unreversed_mirror_pmf_is_analyzed_once_more(monkeypatch, n, p_step
 def test_a_mirror_pmf_one_bit_off_takes_its_own_report(monkeypatch):
     # On a 5-point grid B(n, 0.75) is B(n, 0.25) reversed, bit for bit, so
     # only a changed pmf takes the fallback: the largest term of the p = 0.75
-    # pmf moves up by one ulp.
+    # pmf moves up by one ulp. The sweep builds that mirror cell's terms
+    # with _terms, so the change goes there.
     n = 40
+    terms = distributions._terms
 
     def perturbed(n, p):
-        d = binomial(n, p)
+        probs = terms(n, p)
         if p != 0.75:
-            return d
-        probs = list(d.probs)
+            return probs
+        probs = list(probs)
         k = probs.index(max(probs))
         probs[k] = math.nextafter(probs[k], 1.0)
-        return Distribution(tuple(probs))
+        return tuple(probs)
 
-    monkeypatch.setattr(distributions, "binomial", perturbed)
+    monkeypatch.setattr(distributions, "_terms", perturbed)
     calls = _count_analyze_calls(monkeypatch)
     points = sweep_binomial([n], 5)
     assert len(calls) == 4
     partner, mirror = points[1].report, points[3].report
-    want = analyze(perturbed(n, 0.75))
+    want = analyze(Distribution(perturbed(n, 0.75)))
     assert _hex(mirror) == _hex(want)
     assert _hex(mirror) != _hex(partner)
+
+
+@pytest.mark.parametrize("n", [1, 40, 1030, 1100])
+def test_a_sweep_validates_only_the_cells_it_analyzes(monkeypatch, n):
+    # On a 5-point grid the p = 0, 0.25 and 0.5 cells are built and analyzed;
+    # p = 0.75 is p = 0.25 reversed, so its terms never become a
+    # Distribution, and p = 1 is never built.
+    validate = Distribution.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(len(self.probs))
+        validate(self)
+
+    monkeypatch.setattr(Distribution, "__post_init__", counted)
+    sweep_binomial([n, n], 5)
+    assert len(calls) == 2 * 3

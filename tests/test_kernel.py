@@ -40,6 +40,7 @@ from equivar import (
     renyi1_entropy,
     shannon_entropy,
     total_probability,
+    uniform,
     variance,
 )
 from equivar.errors import (
@@ -50,6 +51,7 @@ from equivar.errors import (
     ProbabilityAboveOne,
     SumExceedsOne,
 )
+from equivar import indicators
 from equivar.indicators import TOL_SUM, _moments
 
 # ----------------------------------------------------------------------
@@ -341,6 +343,69 @@ def rearranged(draw):
 @example([0.7, 5e-324, 1e-310, 0.2, 2.5e-309])  # subnormal low end
 def test_every_field_and_view_is_bit_identical_to_fraction_path(probs):
     assert_bit_identical(probs)
+
+
+@st.composite
+def palindromes(draw):
+    """Half a vector, an optional middle value, then the half reversed.
+
+    The kernel sums such a vector over its first half; a zero of the
+    mirrored half may be -0.0 against the 0.0 it mirrors.
+    """
+    half = [x / 2 for x in draw(vectors)]
+    middle = draw(
+        st.none()
+        | st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 2.5e-309, 1e-300])
+        | st.floats(0.0, 1.0).map(lambda f: f * max(0.0, 1.0 - 2 * math.fsum(half)))
+    )
+    flip = draw(st.booleans())
+    mirrored = [-0.0 if flip and x == 0.0 else x for x in reversed(half)]
+    return half + ([] if middle is None else [middle]) + mirrored
+
+
+@given(palindromes())
+@settings(max_examples=300, deadline=None)
+@example([0.0, 0.0])
+@example([0.0, -0.0])
+@example([-0.0, 0.5, 0.0])
+@example([0.0, 0.0, 0.0])
+@example([0.25, 0.0, 0.25])  # a zero middle
+@example([0.25, -0.0, 0.25])
+@example([0.25, 5e-324, 0.25])  # a subnormal middle
+@example([1e-320, 1e-320])
+@example([1e-320, 5e-324, 1e-320])
+@example([5e-324, 0.5, 5e-324])  # ldexp(0.5, b) would overflow the float range
+@example([1.0])
+@example([0.5, 0.5])
+@example(list(uniform(1).probs))
+@example(list(uniform(7).probs))
+@example(list(uniform(10).probs))
+@example([0.25, 1e-300, 0.25])  # spans past one exponent window
+@example([0.4, 1e-30, 1e-300, 1e-30, 0.4])
+@example([0.3, 5e-324, 0.0, 1e-200, 0.0, 5e-324, 0.3])
+@example([1e-310, 3e-308, 0.25, 3e-308, 1e-310])
+def test_a_palindrome_is_bit_identical_to_fraction_path(probs):
+    assert_bit_identical(probs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 1029, 1030, 1031, 1100])
+def test_a_palindrome_reports_the_bits_of_its_rotation(monkeypatch, n):
+    # B(n, 1/2) reads the same reversed and is summed over one half; its
+    # rotation by one is not a palindrome (but for n = 1, where the two
+    # are the same vector), so it is summed whole.
+    probs = binomial(n, 0.5).probs
+    rotated = probs[1:] + probs[:1]
+    summed = []
+    moments = indicators._moments
+
+    def spy(values, extremes):
+        summed.append(len(values))
+        return moments(values, extremes)
+
+    monkeypatch.setattr(indicators, "_moments", spy)
+    want = _bits(analyze(from_probabilities(rotated)))
+    assert _bits(analyze(from_probabilities(probs))) == want
+    assert summed == ([1, 1] if n == 1 else [n + 1, (n + 2) // 2])
 
 
 @pytest.mark.parametrize("n", [60, 500, 1029, 1100])
