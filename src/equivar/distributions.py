@@ -126,6 +126,13 @@ def degenerate(n: int, sure_index: int = 0) -> Distribution:
 # cannot collide: p and q are floats, and -0.0 is the only zero that
 # reaches a table, because p = +0.0 and p = 1 are built in closed form.
 _BASES_KEPT = 4
+
+# The most cells one sweep_binomial call returns. Each retained cell takes
+# about 530 bytes (its SweepPoint and its share of the reports; measured
+# with tracemalloc on sweep_binomial([3], 10**4), Python 3.11), so this is
+# about 0.56 GB of result, and a sweep past it would run out of memory
+# before it ends.
+_SWEEP_MAX_POINTS = 1 << 20
 _tables: dict[float, tuple[float, ...]] = {}
 _tables_lock = threading.Lock()
 
@@ -302,6 +309,10 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     n = 1..199 and n = 1000, 1007, ..., 1099, 70% of the pairs are
     reversed at 9 points, 12% at 21, 2.5% at 101, and almost none at 7 or
     11.
+
+    A sweep of more than ``_SWEEP_MAX_POINTS`` cells (2**20, about 0.56 GB
+    of result at ~530 bytes a cell) raises ParameterOutOfRange before any
+    cell is built.
     """
     p_steps = _integer(p_steps, "p_steps", 2, most=sys.maxsize)
     # Every n is read before any cell is built, so a bad one costs no work.
@@ -309,6 +320,11 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
         ns = [_integer(n, "n", 1, ZeroSize, sys.maxsize - 1) for n in ns]
     except TypeError:
         raise ParameterOutOfRange(f"need an iterable of trial counts, got {ns!r}") from None
+    if len(ns) * p_steps > _SWEEP_MAX_POINTS:
+        raise ParameterOutOfRange(
+            f"need (number of n) * p_steps <= {_SWEEP_MAX_POINTS} cells,"
+            f" got {len(ns)} * {p_steps}"
+        )
     steps = p_steps - 1
     grid = [i / steps for i in range(p_steps)]
     points = []

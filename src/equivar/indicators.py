@@ -34,7 +34,12 @@ sum(p**2) are kept as Python integers: every non-zero probability is
 multiplied by one power of two, 2**-q, where 2**q is the last mantissa bit
 of the smallest one (math.ldexp), which makes each an exactly integral
 float that math.trunc converts to a Python integer; the integers and their
-squares are summed in C. The smallest and largest values are the ones
+squares are summed in C, one chunk of 1024 at a time. Integer addition is
+exact, so the chunk size moves no bit, and the kernel's working memory
+does not grow with N: one chunk of ints (about 50 KB) and at most one
+pointer per value (the zero-free or sorted list, or the two halves a
+palindrome check compares), plus the sort's merge buffer, at most half
+as long, for a vector it sorts. The smallest and largest values are the ones
 validation already found: a Distribution keeps them, and analyze passes
 them to the kernel instead of scanning the vector again. When the values
 span more binary orders than one such integer should hold, the sorted
@@ -72,8 +77,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
-from itertools import chain, repeat
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, islice, repeat
 from operator import mul, truediv
 
 from .errors import (
@@ -115,6 +120,11 @@ TOL_SUM = 1e-9
 # Binary orders an exponent window spans above a 53-bit mantissa: every
 # scaled integer stays below 2**(53 + W), so squares stay cheap.
 W = 64
+
+# Scaled integers _scaled_sums holds at once. Integer addition is exact and
+# associative, so summing chunk by chunk moves no bit, and a chunk of ints
+# below 2**(53 + W) takes about 50 KB whatever the vector's length.
+_CHUNK_VALUES = 1 << 10
 
 
 def _first_non_number(values: tuple) -> EquivarError:
@@ -265,16 +275,25 @@ def _ulp_exponent(x: float) -> int:
     return max(math.frexp(x)[1] - 53, -1074)
 
 
-def _scaled_sums(values: Sequence[float], q: int) -> tuple[int, int]:
+def _scaled_sums(values: Iterable[float], q: int) -> tuple[int, int]:
     """Exact sums of values * 2**-q and of their squares.
 
     Every value must be an integer multiple of 2**q, so each product is an
     exact integer below 2**(53 + W), which ldexp forms without rounding
     even where 2**-q itself exceeds the float range. math.trunc turns each
-    into the same int as int() does, with less call overhead.
+    into the same int as int() does, with less call overhead. The values
+    may come from any iterable, read once: the integers are formed and
+    summed ``_CHUNK_VALUES`` at a time, so the working memory is one chunk
+    of ints, and since integer sums are exact the chunking moves no bit.
     """
-    ks = list(map(math.trunc, map(math.ldexp, values, repeat(-q))))
-    return sum(ks), sum(map(mul, ks, ks))
+    ks = map(math.trunc, map(math.ldexp, values, repeat(-q)))
+    s = s2 = 0
+    while True:
+        chunk = list(islice(ks, _CHUNK_VALUES))
+        s += sum(chunk)
+        s2 += sum(map(mul, chunk, chunk))
+        if len(chunk) < _CHUNK_VALUES:  # the last chunk: no empty one is read after it
+            return s, s2
 
 
 def _moments(
@@ -299,20 +318,29 @@ def _moments(
     cut into exponent windows, each starting at its smallest value and
     spanning 53 + W binary orders from that value's last mantissa bit;
     each window is scaled by its own power of two and its sums are shifted
-    onto the lowest window's.
+    onto the lowest window's. Each window is read from one iterator over
+    the sorted list, so no window is copied, and the only list of values
+    the kernel makes is the zero-free one, which it sorts in place, or the
+    sorted copy of a vector without zeros.
     """
     lo, hi = extremes
+    xs = None
     if not lo:
-        # Zeros add nothing to either sum: drop them once.
-        probs = list(filter(None, probs))
-        if not probs:
-            return 0, 0, 0, probs
-        lo = min(probs)
+        # Zeros add nothing to either sum: drop them once, into a list of the
+        # kernel's own, which a wide vector then sorts in place.
+        xs = probs = list(filter(None, probs))
+        if not xs:
+            return 0, 0, 0, xs
+        lo = min(xs)
     q = _ulp_exponent(lo)
     if math.frexp(hi)[1] <= q + 53 + W:
         s, s2 = _scaled_sums(probs, q)
         return s, s2, -q, probs
-    xs = sorted(probs)
+    if xs is None:
+        xs = sorted(probs)
+    else:
+        xs.sort()
+    rest = iter(xs)
     q0 = q
     s = s2 = 0
     i = 0
@@ -320,7 +348,7 @@ def _moments(
         q = _ulp_exponent(xs[i])
         top = q + 53 + W
         j = bisect_left(xs, math.ldexp(1.0, top) if top < 1024 else math.inf, i)
-        ws, ws2 = _scaled_sums(xs[i:j], q)
+        ws, ws2 = _scaled_sums(islice(rest, j - i), q)
         s += ws << (q - q0)
         s2 += ws2 << 2 * (q - q0)
         i = j

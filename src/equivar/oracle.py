@@ -40,6 +40,16 @@ ORACLE_TOL = 1e-12
 # the max of the chunk maxima is the max over all rows.
 _MC_VALUES = 1 << 14
 
+# The most float64 values one numpy array holds: numpy refuses an array
+# whose byte count an index cannot hold, with an untyped ValueError.
+_MAX_VALUES = sys.maxsize // 8
+
+# The most trials mc_max_variance takes. Memory stays bounded whatever the
+# count, but time does not: at the 1.0e7 trials/s measured at n = 3 (5.7e6
+# at n = 10, 8.2e5 at n = 100; Python 3.11, numpy 2.4, 2 CPUs), 10**9
+# trials take about 100 s.
+_MC_MAX_TRIALS = 10**9
+
 
 class OracleResult(
     namedtuple("OracleResult", "target value_found reference_value residual trials seed")
@@ -70,9 +80,10 @@ def sample_simplex(n: int, p_total: float, trials: int, rng):
     on the simplex; scaling by p_total moves them to the incomplete shell.
     ``rng`` is a numpy ``Generator`` (a legacy ``RandomState`` works too);
     returns a numpy array of shape (trials, n), scaled in place, so the call
-    holds one such array. Raises ParameterOutOfRange unless
-    1 <= n <= sys.maxsize, 0 < p_total <= 1, trials >= 1 and ``rng`` has a
-    ``standard_exponential`` method.
+    holds one such array. Raises ParameterOutOfRange, before any draw,
+    unless 1 <= n <= sys.maxsize, 0 < p_total <= 1, trials >= 1, ``rng``
+    has a ``standard_exponential`` method and n * trials <= sys.maxsize // 8,
+    the most float64 values one numpy array holds.
     """
     n = _integer(n, "n", 1, most=sys.maxsize)
     p_total = _unit_interval(p_total, "p_total", above_zero=True)
@@ -83,6 +94,10 @@ def sample_simplex(n: int, p_total: float, trials: int, rng):
         raise ParameterOutOfRange(
             f"need a numpy Generator or RandomState rng, got {rng!r}"
         ) from None
+    if n * trials > _MAX_VALUES:
+        raise ParameterOutOfRange(
+            f"need n * trials <= {_MAX_VALUES} values in one array, got {n} * {trials}"
+        )
     e = draw((trials, n))
     e *= (p_total / e.sum(axis=1))[:, None]
     return e
@@ -103,10 +118,16 @@ def mc_max_variance(n: int, p_total: float, trials: int, seed: int) -> OracleRes
     read its stream in the same order; each row's sum, scale and variance
     depend on that row alone; and the max of the chunk maxima is the max
     over all rows.
+
+    Raises ParameterOutOfRange, before any draw, unless 2 <= n <=
+    sys.maxsize, 0 < p_total <= 1, 1 <= trials <= ``_MC_MAX_TRIALS``
+    (10**9, about 100 s of draws at n = 3) and seed >= 0, or when one
+    vector of n values is past what a numpy array holds
+    (n > sys.maxsize // 8).
     """
     n = _integer(n, "n", 2, most=sys.maxsize)
     p_total = _unit_interval(p_total, "p_total", above_zero=True)
-    trials = _integer(trials, "trials", 1)
+    trials = _integer(trials, "trials", 1, most=_MC_MAX_TRIALS)
     seed = _integer(seed, "seed", 0)
 
     # Imported here, its only use, so that importing equivar loads no numpy.

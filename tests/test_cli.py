@@ -882,8 +882,14 @@ def test_numeric_flags_refuse_what_a_csv_cell_refuses(capsys, argv, flag, kind, 
         ((*_MAX_VARIANCE[:6], "0"), "need 0 < p_total <= 1, got 0.0"),
         ((*_MAX_VARIANCE, "--trials", "0"), "need trials >= 1, got 0"),
         ((*_MAX_VARIANCE, "--seed", "-1"), "need seed >= 0, got -1"),
+        (("binomial-sweep", "--n", "3", "--p-steps", str(sys.maxsize)),
+         f"need (number of n) * p_steps <= 1048576 cells, got 1 * {sys.maxsize}"),
+        ((*_MAX_VARIANCE[:4], str(2**60), *_MAX_VARIANCE[5:]),
+         f"need n * trials <= {2**60 - 1} values in one array, got {2**60} * 1"),
+        ((*_MAX_VARIANCE[:8], "99999999999999999999"), "need trials <= 1000000000, got 99999999999999999999"),
     ],
-    ids=["n-0", "n-5-0", "n-empty", "p-steps-1", "mc-n-1", "p-total-0", "trials-0", "seed-neg"],
+    ids=["n-0", "n-5-0", "n-empty", "p-steps-1", "mc-n-1", "p-total-0", "trials-0", "seed-neg",
+         "sweep-cells", "mc-array-size", "mc-trials"],
 )
 def test_out_of_range_flag_values_are_usage_errors_naming_the_value(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -628,6 +628,27 @@ def test_a_sweep_refuses_p_steps_past_the_index_range(monkeypatch, p_steps):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "ns, p_steps", [([3], sys.maxsize), ([1, 2, 3, 4], (1 << 18) + 1), (range(1, 1 << 19), 3)]
+)
+def test_a_sweep_past_its_cell_bound_builds_no_cell(monkeypatch, ns, p_steps):
+    calls = []
+    monkeypatch.setattr(distributions, "binomial", lambda n, p: calls.append((n, p)))
+    with pytest.raises(
+        ParameterOutOfRange,
+        match=rf"^need \(number of n\) \* p_steps <= {1 << 20} cells, got {len(ns)} \* {p_steps}$",
+    ):
+        sweep_binomial(ns, p_steps)
+    assert calls == []
+
+
+def test_a_sweep_at_its_cell_bound_is_built(monkeypatch):
+    monkeypatch.setattr(distributions, "_SWEEP_MAX_POINTS", 10)
+    assert len(sweep_binomial([1, 2], 5)) == 10
+    with pytest.raises(ParameterOutOfRange, match=r"<= 10 cells, got 2 \* 6$"):
+        sweep_binomial([1, 2], 6)
+
+
 # ----------------------------------------------------------------------
 # a sweep analyzes each distinct pmf once
 

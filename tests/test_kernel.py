@@ -16,6 +16,8 @@ formula. The total probability is held to the exact sum rounded once.
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -436,6 +438,80 @@ def test_moments_are_the_exact_sums(values):
     # The values summed: in the given order, or largest first when sorted.
     given = [v for v in values if v]
     assert list(nonzero) in (given, sorted(given, reverse=True))
+
+
+# ----------------------------------------------------------------------
+# chunked summation: the kernel forms its scaled integers one chunk at a time
+
+CHUNK = indicators._CHUNK_VALUES
+SHAPES = ("one-window", "windowed", "zero-padded", "palindromic")
+
+
+def _long_vector(shape, n, seed):
+    """n values of one shape, drawn from Random(seed), with a total at most 1.
+
+    "one-window" values lie within about 2**40 of each other; "windowed"
+    ones spread over 2**-990 .. 1, so the kernel sorts them into exponent
+    windows; "zero-padded" is either with about a third of its values 0;
+    "palindromic" reads the same reversed, so analyze sums its first half.
+    """
+    rng = random.Random(seed)
+    if shape == "palindromic":
+        half = [x / 2 for x in _long_vector(rng.choice(SHAPES[:3]), n // 2, seed)]
+        middle = [rng.random() * max(0.0, 1.0 - 2 * math.fsum(half))] if n % 2 else []
+        return half + middle + half[::-1]
+    spread = 40 if shape == "one-window" else 990
+    values = [rng.random() * 2.0 ** -rng.randint(0, spread) for _ in range(n)]
+    if shape == "zero-padded":
+        values = [0.0 if rng.random() < 1 / 3 else v for v in values]
+    return _scaled(values, rng.choice([1.0, 0.5, 1e-3]))
+
+
+def _at_chunk(chunk, probs):
+    """_moments and every analyze field of probs, summed ``chunk`` values at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indicators, "_CHUNK_VALUES", chunk)
+        s, s2, b, nonzero = _moments(probs, (min(probs), max(probs)))
+        return (s, s2, b, list(nonzero)), _outcome(analyze, from_probabilities(probs))
+
+
+@given(
+    st.builds(_long_vector, st.sampled_from(SHAPES), st.integers(1, 3 * CHUNK + 2), st.integers(0, 2**32))
+)
+@settings(max_examples=60, deadline=None)
+@example(_long_vector("one-window", CHUNK - 1, 0))
+@example(_long_vector("windowed", CHUNK, 1))
+@example(_long_vector("zero-padded", CHUNK + 1, 2))
+@example(_long_vector("palindromic", 2 * CHUNK + 1, 3))  # a half of one chunk and one value more
+@example([2.0**-1000] + [1 / (CHUNK + 5)] * (CHUNK + 5))  # a window longer than a chunk
+def test_the_chunk_size_moves_no_bit(probs):
+    want = _at_chunk(CHUNK, probs)
+    for chunk in (1, 7, 1 << 22):
+        assert _at_chunk(chunk, probs) == want, chunk
+    s, s2, b, _ = want[0]
+    scale = Fraction(2) ** b
+    assert s / scale == sum(map(Fraction, probs))
+    assert s2 / scale**2 == sum(Fraction(v) ** 2 for v in probs)
+
+
+# Besides the vector, analyze holds one chunk of ints (~50 KB) and at most
+# one pointer per value: the zero-free list, the sorted one (and the sort's
+# merge buffer, up to half as long), or a palindrome's halves.
+@pytest.mark.parametrize(
+    "shape, most",
+    [("one-window", 2**20), ("windowed", 12 * 200_000 + 2**20), ("zero-padded", 12 * 200_000 + 2**20),
+     ("palindromic", 8 * 200_000 + 2**20)],
+)
+def test_analyze_working_memory_does_not_hold_an_int_per_value(shape, most):
+    dist = from_probabilities(_long_vector(shape, 200_000, 0))
+    analyze(dist)
+    tracemalloc.start()
+    try:
+        analyze(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < most, peak
 
 
 @given(rearranged())

@@ -322,6 +322,42 @@ def test_rel_treats_infinities_as_analyze_does():
     assert _rel(3.0, 1.0) == 2.0 / 3.0
 
 
+class _NoDraws:
+    """An rng whose every draw fails the test."""
+
+    def standard_exponential(self, shape):
+        raise AssertionError(f"drew {shape}")
+
+
+@pytest.mark.parametrize(
+    "n, trials", [(2**60, 1), (sys.maxsize, 1), (3, 10**20), (2**30, 2**30)]
+)
+def test_a_draw_past_numpy_array_size_is_refused_before_numpy_draws(n, trials):
+    # numpy itself would raise an untyped ValueError ("array is too big").
+    with pytest.raises(
+        ParameterOutOfRange,
+        match=rf"^need n \* trials <= {sys.maxsize // 8} values in one array, got {n} \* {trials}$",
+    ):
+        sample_simplex(n, 1.0, trials, _NoDraws())
+
+
+def test_mc_refuses_a_vector_past_numpy_array_size():
+    # One vector per chunk at this n: the first chunk is refused.
+    with pytest.raises(
+        ParameterOutOfRange, match=rf"^need n \* trials <= \d+ values in one array, got {2**60} \* 1$"
+    ):
+        mc_max_variance(2**60, 1.0, 5, 0)
+
+
+@pytest.mark.parametrize("trials", [oracle._MC_MAX_TRIALS + 1, 10**20])
+def test_mc_refuses_trials_past_its_work_bound_before_it_draws(monkeypatch, trials):
+    calls = []
+    monkeypatch.setattr(oracle, "sample_simplex", lambda *args: calls.append(args))
+    with pytest.raises(ParameterOutOfRange, match=rf"^need trials <= {10**9}, got {trials}$"):
+        mc_max_variance(3, 1.0, trials, 0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", [sys.maxsize + 1, 2**63])
 def test_an_n_past_the_index_range_is_refused_before_numpy_draws(n):
     with pytest.raises(ParameterOutOfRange, match=rf"^need n <= {sys.maxsize}, got {n}$"):
