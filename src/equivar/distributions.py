@@ -133,6 +133,12 @@ _BASES_KEPT = 4
 # about 0.56 GB of result, and a sweep past it would run out of memory
 # before it ends.
 _SWEEP_MAX_POINTS = 1 << 20
+
+# The largest n whose coefficient row is built (every p but 1 and +0.0).
+# The row carries the exact C(n, k), so its cost grows as n**2: 1.0 s at
+# n = 10**5 and 3.9 s at 2*10**5 (Python 3.11, 2 CPUs), about 2 minutes at
+# 2**20. A larger n would run for hours before it answered.
+_BINOMIAL_MAX_N = 1 << 20
 _tables: dict[float, tuple[float, ...]] = {}
 _tables_lock = threading.Lock()
 
@@ -232,6 +238,13 @@ def _coefficients(n: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
     return tuple(half + half[n % 2 - 2 :: -1]), tuple(shifts + shifts[n % 2 - 2 :: -1])
 
 
+def _row_bound(n: int) -> None:
+    """Refuse, with ParameterOutOfRange, an n whose coefficient row is past
+    the work bound ``_BINOMIAL_MAX_N``."""
+    if n > _BINOMIAL_MAX_N:
+        raise ParameterOutOfRange(f"need n <= {_BINOMIAL_MAX_N} when 0 < p < 1, got {n}")
+
+
 def binomial(n: int, p: float) -> Distribution:
     """Binomial pmf B(n, p) over k = 0..n as a complete distribution.
 
@@ -248,21 +261,27 @@ def binomial(n: int, p: float) -> Distribution:
     0.1.0, which called math.comb per term. From n = 1030 on, the k whose
     coefficients are past the float range form one run around the centre:
     there the pass multiplies three mantissas and ``math.ldexp`` applies
-    their summed binary exponent, so any n >= 1 is valid. Every term at
-    least 2**-52 times the largest is within 4 ulp of its exact value for
-    the float q = 1 - p up to n = 2000 (tests/test_distributions.py checks
-    n = 1030, 1100 and 2000). The error grows with n beyond that: at
-    p = 0.3 it measured 11 ulp at n = 2*10**4 and 45 ulp at 10**5. Terms
+    their summed binary exponent. Every term at least 2**-52 times the
+    largest is within 4 ulp of its exact value for the float q = 1 - p up
+    to n = 2000 (tests/test_distributions.py checks n = 1030, 1100 and
+    2000). The error grows with n beyond that: at p = 0.3 it is 11 ulp at
+    n = 2*10**4 (checked there too) and measured 45 ulp at 10**5. Terms
     far below the mode may lose bits when p**k or q**(n - k) underflows, as
     in 0.1.0. The p = 1 and p = +0.0 endpoints are one sure outcome, built
     in closed form as :func:`degenerate` (the same bits the terms give);
     p = -0.0 takes the general path, whose odd-k terms are -0.0 as in
     0.1.0.
+
+    The endpoints take any n >= 1 up to ``sys.maxsize - 1``. Every other p
+    builds the coefficient row, whose cost grows as n**2, so there an n
+    past ``_BINOMIAL_MAX_N`` (2**20, about 2 minutes of row) raises
+    ParameterOutOfRange before any work is done.
     """
     n = _integer(n, "n", 1, ZeroSize, sys.maxsize - 1)  # n + 1 outcomes
     p = _unit_interval(p, "p")
     if p == 1.0 or (p == 0.0 and math.copysign(1.0, p) > 0.0):
         return degenerate(n + 1, n if p else 0)
+    _row_bound(n)
     return Distribution(_terms(n, p))
 
 
@@ -312,7 +331,9 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
 
     A sweep of more than ``_SWEEP_MAX_POINTS`` cells (2**20, about 0.56 GB
     of result at ~530 bytes a cell) raises ParameterOutOfRange before any
-    cell is built.
+    cell is built, and so does an n past ``_BINOMIAL_MAX_N`` (2**20) when
+    p_steps >= 3: its inner cells would build a coefficient row, whose cost
+    grows as n**2 (see binomial).
     """
     p_steps = _integer(p_steps, "p_steps", 2, most=sys.maxsize)
     # Every n is read before any cell is built, so a bad one costs no work.
@@ -320,6 +341,9 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
         ns = [_integer(n, "n", 1, ZeroSize, sys.maxsize - 1) for n in ns]
     except TypeError:
         raise ParameterOutOfRange(f"need an iterable of trial counts, got {ns!r}") from None
+    if p_steps > 2:
+        for n in ns:
+            _row_bound(n)
     if len(ns) * p_steps > _SWEEP_MAX_POINTS:
         raise ParameterOutOfRange(
             f"need (number of n) * p_steps <= {_SWEEP_MAX_POINTS} cells,"

@@ -63,6 +63,67 @@ def ulps_off(got: float, n: int, k: int, p: float, q: float) -> float:
     return abs(gn * den - num * gd) * ud / (gd * den * un)
 
 
+# The exact reference row carries each term as an integer cut to its top
+# _CUT bits and a binary exponent kept apart.
+_CUT = 256
+
+
+def _cut(t: int, e: int) -> tuple[int, int]:
+    """t * 2**e with t truncated to its top _CUT bits, the rest moved into e."""
+    s = max(t.bit_length() - _CUT, 0)
+    return t >> s, e + s
+
+
+def _round_once(t: int, e: int) -> float:
+    """t * 2**e rounded once to the nearest float, subnormals included."""
+    if t.bit_length() + e <= -1075:  # below half the least subnormal
+        return 0.0
+    # int / int is correctly rounded, to a subnormal or 0.0 too.
+    return t / (1 << -e) if e < 0 else float(t << e)
+
+
+def reference_row(n: int, p: float, exact_q: bool) -> list[float]:
+    """B(n, p) over k = 0..n for 0 < p < 1, each term rounded once.
+
+    p = a / 2**alpha exactly. q is b / 2**beta: the exact 1 - p, with
+    b = 2**alpha - a and beta = alpha, or with ``exact_q=False`` the float
+    ``1.0 - p`` that binomial uses. q**n comes from square and multiply,
+    and t(k + 1) = t(k) * (n - k) * a / ((k + 1) * b) * 2**(beta - alpha),
+    each in integers cut to _CUT bits with the exponent kept apart, so a
+    row costs O(n) small-integer steps at any n.
+
+    Ties: each cut and each floor division lowers the value it carries by
+    less than 2**-255 of it. q**n loses at most n * 2**-255 (a squaring
+    doubles what its base lost and adds one cut), and each step two such
+    losses more, so a carried term lies within 3n * 2**-255 < n * 2**-253
+    (relative) below the exact one. It rounds as the exact term does unless
+    that lies this close above a midpoint between two floats, or on one:
+    such a term may take either neighbour. The rows the tests compare with
+    exact fractions have none.
+    """
+    a, den = p.as_integer_ratio()
+    alpha = den.bit_length() - 1
+    if exact_q:
+        b, beta = den - a, alpha
+    else:
+        b, den = (1.0 - p).as_integer_ratio()
+        beta = den.bit_length() - 1
+    t, e, x, ex, m = 1, 0, b, 0, n
+    while m:
+        if m & 1:
+            t, e = _cut(t * x, e + ex)
+        x, ex = _cut(x * x, 2 * ex)
+        m >>= 1
+    e -= beta * n
+    row = [_round_once(t, e)]
+    for k in range(n):
+        num, div = t * (n - k) * a, (k + 1) * b
+        s = max(_CUT + div.bit_length() - num.bit_length(), 0)  # a quotient of >= _CUT bits
+        t, e = _cut((num << s) // div, e - s + beta - alpha)
+        row.append(_round_once(t, e))
+    return row
+
+
 # ----------------------------------------------------------------------
 # constructors
 
@@ -288,6 +349,29 @@ def test_binomial_large_n_terms_within_4_ulp(n, p):
             assert err <= 4, (n, p, k, err)
 
 
+# Every row but (50, 0.3) and (60, 0.999) ends in subnormal and zero terms.
+@pytest.mark.parametrize("n, p", [(50, 0.3), (400, 0.01), (1029, 0.3), (300, 1e-5), (60, 0.999)])
+@pytest.mark.parametrize("exact_q", [True, False], ids=["exact-q", "rounded-q"])
+def test_reference_row_is_the_exact_row_rounded_once(n, p, exact_q):
+    fp = Fraction(p)
+    fq = 1 - fp if exact_q else Fraction(1.0 - p)
+    term, want = fq**n, []
+    for k in range(n + 1):
+        want.append(float(term))  # Fraction -> float rounds once
+        term = term * (n - k) / (k + 1) * fp / fq
+    assert _hex(reference_row(n, p, exact_q)) == _hex(want)
+
+
+def test_binomial_body_at_2e4_is_within_11_ulp_of_the_rounded_q_row():
+    # README's figure for n = 2*10**4; the exact q moves the body ~10**4 ulp.
+    n, p = 20000, 0.3
+    got = binomial(n, p).probs
+    top = max(got)
+    body = [(g, w) for g, w in zip(got, reference_row(n, p, exact_q=False)) if g >= top / 2**52]
+    assert len(body) > 1000
+    assert max(abs(g - w) / math.ulp(w) for g, w in body) <= 11
+
+
 @pytest.mark.parametrize("n", [1, 1100, 2000])
 def test_binomial_endpoints_are_one_sure_outcome_bit_for_bit(n):
     sure_first = (1.0,) + (0.0,) * n
@@ -384,6 +468,17 @@ def test_interleaved_calls_give_fresh_bits():
         fresh = analyze(binomial(pt.n, pt.p))
         for rep in reports:
             assert _hex(rep.to_dict().values()) == _hex(fresh.to_dict().values())
+    # One sweep over several n (a table read again, grown, and read past
+    # n = 1030) gives the cells of one sweep per n from cleared caches.
+    ns = [1100, 7, 1030, 40]
+    points = sweep_binomial(ns, 5)
+    singles = []
+    for n in ns:
+        _clear_caches()
+        singles += sweep_binomial([n], 5)
+    assert [(pt.n, pt.p, _hex(pt.report)) for pt in points] == [
+        (pt.n, pt.p, _hex(pt.report)) for pt in singles
+    ]
 
 
 def _pow_frexp(x, k):
@@ -647,6 +742,30 @@ def test_a_sweep_at_its_cell_bound_is_built(monkeypatch):
     assert len(sweep_binomial([1, 2], 5)) == 10
     with pytest.raises(ParameterOutOfRange, match=r"<= 10 cells, got 2 \* 6$"):
         sweep_binomial([1, 2], 6)
+
+
+# A coefficient row costs O(n**2), so an n past the work bound is refused
+# before any term is built wherever the row would be: every p but the
+# endpoints 1 and +0.0, and any sweep with inner cells.
+def test_an_n_past_the_row_bound_is_refused_before_any_work(monkeypatch):
+    refused = r"^need n <= {} when 0 < p < 1, got {}$"
+    with pytest.raises(ParameterOutOfRange, match=refused.format(1 << 20, 2**62)):
+        binomial(2**62, 0.3)
+    with pytest.raises(ParameterOutOfRange, match=refused.format(1 << 20, 2**62)):
+        sweep_binomial([2**62], 3)
+    monkeypatch.setattr(distributions, "_BINOMIAL_MAX_N", 10)
+    assert len(binomial(10, 0.3).probs) == 11
+    assert len(sweep_binomial([10], 3)) == 3
+    built = []
+    monkeypatch.setattr(distributions, "_terms", lambda n, p: built.append((n, p)))
+    for make in (lambda: binomial(11, 0.3), lambda: binomial(11, -0.0),
+                 lambda: sweep_binomial([3, 11], 3)):
+        with pytest.raises(ParameterOutOfRange, match=refused.format(10, 11)):
+            make()
+    assert built == []
+    # The endpoints are built in closed form, so they take any n.
+    assert binomial(11, 0.0).probs[0] == binomial(11, 1.0).probs[11] == 1.0
+    assert [pt.p for pt in sweep_binomial([11], 2)] == [0.0, 1.0]
 
 
 # ----------------------------------------------------------------------
