@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import threading
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
@@ -118,13 +117,10 @@ def degenerate(n: int, sure_index: int = 0) -> Distribution:
     return Distribution(probs)
 
 
-# x**k depends on the base x and on k alone, so each base has one table of
-# plain powers that every n reads, grown when a larger n asks for more.
-# Four bases are kept: the two cells of one mirrored sweep pair read at most
-# p, 1 - p, p' and 1 - p', and a 3- or 5-point grid has three bases, so
-# each n of a sweep on such a grid reads the powers the last n left. Keys
-# cannot collide: p and q are floats, and -0.0 is the only zero that
-# reaches a table, because p = +0.0 and p = 1 are built in closed form.
+# The power caches keep four bases: the two cells of one mirrored sweep pair
+# read at most p, 1 - p, p' and 1 - p', and a 3- or 5-point grid has three
+# bases. Keys cannot collide: p and q are floats, and -0.0 is the only zero
+# that reaches a table, because p = +0.0 and p = 1 are built in closed form.
 _BASES_KEPT = 4
 
 # The most cells one sweep_binomial call returns. Each retained cell takes
@@ -139,26 +135,19 @@ _SWEEP_MAX_POINTS = 1 << 20
 # n = 10**5 and 3.9 s at 2*10**5 (Python 3.11, 2 CPUs), about 2 minutes at
 # 2**20. A larger n would run for hours before it answered.
 _BINOMIAL_MAX_N = 1 << 20
-_tables: dict[float, tuple[float, ...]] = {}
-_tables_lock = threading.Lock()
 
 
-def _grow(x: float, table: tuple[float, ...], stop: int) -> tuple[float, ...]:
-    """The table of base x extended to x**k for k = 0..stop - 1, and kept.
-
-    A table is never changed in place: the longer one is a new tuple that
-    replaces the entry, so a thread still reading the old one reads a whole
-    table, and the entry keeps the longest table any thread built. A new or
-    grown base goes last, and past four bases the first one is dropped.
-    """
-    table = table + tuple(map(pow, repeat(x), range(len(table), stop)))
-    with _tables_lock:
-        if len(_tables.get(x, ())) < stop:
-            _tables.pop(x, None)
-            _tables[x] = table
-            if len(_tables) > _BASES_KEPT:
-                del _tables[next(iter(_tables))]
-    return table
+# x**k depends on the base x and on k alone, so the plain powers are cached
+# per base and size, not per n, and a size is the power of two at or above
+# the count a call reads, so nearby n share a table. A call reads n + 1 <=
+# 1030 powers when n has no run (n <= 1029), and lo <= 500 when it has one
+# (lo falls from 500 at n = 1030 as n grows). So a size is at most 2**11, a
+# base has at most 12 sizes (2**0..2**11), and the cache holds at most 48
+# tables of <= 2048 powers, about 3 MB.
+@lru_cache(maxsize=_BASES_KEPT * 12)
+def _table(x: float, size: int) -> tuple[float, ...]:
+    """x**k for k = 0..size - 1."""
+    return tuple(map(pow, repeat(x), range(size)))
 
 
 @lru_cache(maxsize=_BASES_KEPT)
@@ -168,11 +157,9 @@ def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[Sequence[float], S
     Returns ``(powers, exps)``. For k in the run lo..hi - 1, the k whose
     coefficients are past the float range (see _coefficients),
     ``powers[k]`` is a mantissa and ``exps[k - lo]`` its binary exponent;
-    elsewhere ``powers[k]`` is x**k, read from the table of base x. That
-    table grows to n + 1 powers unless it would then compute x**k on the
-    run, which this n does not read: it then grows to lo, and x**k for
-    k = hi..n is computed here. So a call from cold caches makes the same
-    pow calls as one that builds every power it reads.
+    elsewhere ``powers[k]`` is x**k. The powers below the run, or all n + 1
+    when there is none, are read from a table of base x (see _table); those
+    past the run are computed here.
 
     The split powers keep a result below the float range, and round as a
     chunked loop does: x's mantissa m lies in [0.5, 1), so m**b never
@@ -183,12 +170,10 @@ def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[Sequence[float], S
     the result, for four (x, n) pairs: the mirror cell of a sweep and a
     repeated call read them. Every caller only reads the result.
     """
-    table = _tables.get(x, ())
-    stop = n + 1 if max(len(table), lo) >= hi else lo
-    if len(table) < stop:
-        table = _grow(x, table, stop)
+    stop = n + 1 if lo == hi else lo
+    table = _table(x, 1 << (stop - 1).bit_length())
     if lo == hi:
-        return table[: n + 1], ()
+        return table[:stop], ()
     m, e = math.frexp(x)
     powers = list(table[:lo])
     exps: list[int] = []
@@ -200,7 +185,7 @@ def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[Sequence[float], S
         exps += [e * (a + b) + shift + f[1] for b, f in zip(bs, fr)]
         head, r = math.frexp(head * m**1000)
         shift += r
-    powers += table[hi : n + 1] if len(table) > n else map(pow, repeat(x), range(hi, n + 1))
+    powers += map(pow, repeat(x), range(hi, n + 1))
     return powers, exps
 
 
@@ -251,11 +236,9 @@ def binomial(n: int, p: float) -> Distribution:
     p may be any real number; it is read as ``float(p)``. Each term is
     ``C(n, k) * p**k * q**(n - k)``, evaluated in that order in one product
     pass over the coefficient row (cached for the last n; see _coefficients)
-    and the powers of p and of q. Those come from one table per base, kept
-    for four bases and read by every n, so a later call on the same base,
-    with this n or another, and the mirror cell 1 - p of a sweep reuse them
-    (see _power_table); a kept table is replaced, never changed, so calls
-    from many threads at once read whole tables. For
+    and the powers of p and of q, read from tables cached per base and
+    length (see _table), so a later call on the same base, with this n or a
+    nearby one, and the mirror cell 1 - p of a sweep reuse them. For
     n <= 1029 every coefficient fits a float, and ``float(C(n, k)) * x``
     rounds exactly as ``C(n, k) * x`` does, so every bit equals that of
     0.1.0, which called math.comb per term. From n = 1030 on, the k whose
@@ -308,12 +291,11 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
 
     The grid is {0, 1/(p_steps-1), ..., 1}; output is row-major (n outer,
     p inner), one fully analyzed SweepPoint per cell. The power tables are
-    kept per base, not per n, and a growing table is replaced, never
-    changed (see binomial), so every n of the sweep reads the powers the
-    last n left on the same grid. Each inner cell p is built right after its
-    mirror cell 1 - p, so the two cells of a pair read at most four bases,
-    as many as are kept, and share a table wherever ``1 - p`` of one is
-    exactly the other's p.
+    kept per base, not per n (see binomial), so an n of the sweep reads
+    the tables an earlier n left wherever both read the same size. Each
+    inner cell p is built right after its mirror cell 1 - p, so the two
+    cells of a pair read at most four bases, as many as are kept, and share
+    a table wherever ``1 - p`` of one is exactly the other's p.
 
     Every inner pmf is built, but each distinct one is analyzed once: a
     mirror cell whose terms are its partner's reversed, bit for bit,
@@ -349,6 +331,8 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
             f"need (number of n) * p_steps <= {_SWEEP_MAX_POINTS} cells,"
             f" got {len(ns)} * {p_steps}"
         )
+    if not ns:  # no cell, so the grid is not built: p_steps may be huge
+        return []
     steps = p_steps - 1
     grid = [i / steps for i in range(p_steps)]
     points = []

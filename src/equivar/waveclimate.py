@@ -65,9 +65,12 @@ BEARINGS_DEG = (0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0)
 CSV_HEADER = "area,dN,dNE,dE,dSE,dS,dSW,dW,dNW"
 
 # Characters an area id may not hold: each would break a row of the chart
-# CSV, which writes ids unquoted. They are the comma, the double quote and
-# the C0, DEL and C1 control characters.
-_CHART_BREAKING = frozenset(',"' + "".join(map(chr, [*range(0x20), *range(0x7F, 0xA0)])))
+# CSV or of an area table's CSV, which write ids unquoted. They are the
+# comma, the double quote, the C0, DEL and C1 control characters, and the
+# line and paragraph separators, where str.splitlines ends a CSV row too.
+_ROW_BREAKING = frozenset(
+    ',"\u2028\u2029' + "".join(map(chr, [*range(0x20), *range(0x7F, 0xA0)]))
+)
 
 # Report field backing each ranking key.
 RANK_KEYS = {
@@ -81,8 +84,9 @@ RANK_KEYS = {
 class AreaRecord(namedtuple("AreaRecord", "area_id directions region")):
     """One ocean area: identifier plus its 8-direction probability vector.
 
-    Validated on construction, copying and unpickling; an unlabelled vector
-    is given DIRECTION_LABELS.
+    Validated on construction, copying and unpickling: the id must be one
+    both table readers return as it is, and an unlabelled vector is given
+    DIRECTION_LABELS.
     """
 
     __slots__ = ()
@@ -90,6 +94,11 @@ class AreaRecord(namedtuple("AreaRecord", "area_id directions region")):
     def __new__(cls, area_id: str, directions: Distribution, region: str | None = None):
         if not area_id:
             raise ValidationFailure("area id must be non-empty")
+        if not (isinstance(area_id, str) and area_id == area_id.strip() and _writable_id(area_id)):
+            raise ValidationFailure(
+                f"area id {area_id!r} must be a string with no surrounding whitespace, comma,"
+                " double quote, control character, line separator or lone surrogate"
+            )
         if directions.n != 8:
             raise BadFieldCount(f"area {area_id!r} has {directions.n} directions, need 8")
         if directions.labels is None:
@@ -230,12 +239,12 @@ def read_vector(
 
 
 def _writable_id(area_id: str) -> bool:
-    """Whether an id can be written into the chart CSV unquoted, as UTF-8."""
+    """Whether an id can be written into a CSV row unquoted, as UTF-8."""
     try:
         area_id.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate
         return False
-    return _CHART_BREAKING.isdisjoint(area_id)
+    return _ROW_BREAKING.isdisjoint(area_id)
 
 
 def _add_area(
@@ -248,7 +257,7 @@ def _add_area(
     if not _writable_id(area_id):
         raise ParseError(
             f"{where}: area id {area_id!r} holds a comma, a double quote, "
-            "a control character or a lone surrogate"
+            "a control character, a line separator or a lone surrogate"
         )
     if area_id in records:
         raise DuplicateAreaId(f"{where}: duplicate area {area_id!r}")

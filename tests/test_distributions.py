@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -562,7 +563,7 @@ def test_run_entries_are_the_sticky_cut_of_the_exact_coefficient(n, offset):
 
 
 def _clear_power_tables():
-    distributions._tables.clear()
+    distributions._table.cache_clear()
     distributions._power_table.cache_clear()
 
 
@@ -586,14 +587,12 @@ def _clear_caches():
 @example([(3, 101, 0.7), (1031, 11, 0.9)])  # cells whose 1 - p is not the mirror point
 @example([(40, 2, 1.0), (40, 2, -0.0)])
 @example([(1031, 2, 1.0), (1031, 2, -0.0)])
-@example([(900, 5, 0.3), (40, 5, 0.3)])  # a smaller n reads a prefix of the table
-@example([(40, 5, 0.3), (900, 5, 0.3)])  # a larger n grows it
-# Up across n = 1030: a table short of the run's end grows to lo and the
-# powers past the run are computed for the call; a longer one grows to n + 1.
+@example([(900, 5, 0.3), (40, 5, 0.3)])  # tables of 1024, then 64 powers
+@example([(40, 5, 0.3), (900, 5, 0.3)])  # the same, the other way round
+# Across n = 1030: n = 1100 reads its lo = 388 powers from the table of 512
+# that n = 500 reads 501 of, and computes the powers past its run itself.
 @example([(40, 3, 0.5), (1100, 3, 0.5)])
 @example([(900, 3, 0.5), (1100, 3, 0.5)])
-# Down across n = 1030: n = 1100 leaves the table at lo = 388, which n = 500
-# grows and n = 200 reads a prefix of.
 @example([(1100, 5, 0.25), (500, 5, 0.25)])
 @example([(1100, 5, 0.25), (200, 5, 0.25)])
 @example([(1100, 5, 0.75), (2000, 5, 0.25)])  # both past it, n up, then down
@@ -635,11 +634,27 @@ def test_big_terms_over_many_chunks_keep_their_bits(p):
 def test_caches_stay_bounded_after_a_sweep():
     _clear_caches()
     sweep_binomial([1100, 40], 101)
-    assert 0 < len(distributions._tables) <= 4
-    assert max(map(len, distributions._tables.values())) <= 1101
+    tables = distributions._table.cache_info()
+    assert tables.maxsize == 48 and 0 < tables.currsize <= 48
     results = distributions._power_table.cache_info()
     assert results.maxsize == 4 and results.currsize <= 4
     assert distributions._coefficients.cache_info().maxsize == 1
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1029, 1030, 1100, 2 * 10**4])
+def test_power_tables_are_powers_of_two_long_and_cover_the_call(monkeypatch, n, p):
+    # A call reads n + 1 powers of each base when n has no run, and the lo
+    # powers below the run when it has one.
+    _, shifts = distributions._coefficients(n)
+    read = n + 1 if not shifts else (n + 1 - len(shifts)) // 2
+    _clear_caches()
+    real, sizes = distributions._table, []
+    monkeypatch.setattr(distributions, "_table", lambda x, size: sizes.append(size) or real(x, size))
+    binomial(n, p)
+    assert len(sizes) == (1 if p == 0.5 else 2)  # at p = 0.5, q is the same base
+    for size in sizes:
+        assert size & (size - 1) == 0 and read <= size <= 2**11, (size, read)
 
 
 def _cell_bits(task):
@@ -742,6 +757,19 @@ def test_a_sweep_at_its_cell_bound_is_built(monkeypatch):
     assert len(sweep_binomial([1, 2], 5)) == 10
     with pytest.raises(ParameterOutOfRange, match=r"<= 10 cells, got 2 \* 6$"):
         sweep_binomial([1, 2], 6)
+
+
+def test_an_empty_sweep_builds_no_grid():
+    # The grid of 10**6 floats alone would take some 32 MB.
+    tracemalloc.start()
+    try:
+        assert sweep_binomial([], 10**6) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    with pytest.raises(ParameterOutOfRange, match=r"^need p_steps >= 2, got 1$"):
+        sweep_binomial([], 1)
 
 
 # A coefficient row costs O(n**2), so an n past the work bound is refused

@@ -4,10 +4,13 @@ import contextlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equivar import (
     AreaRecord,
@@ -130,7 +133,9 @@ def test_parse_json_area_id_must_be_a_string(area):
 
 
 @pytest.mark.parametrize(
-    "area", ["A,1", "A1\nB", "A\r1", 'A"1', "A\t1", "A\x001", "A\x7f", "A\x851", "\ud800", "A\udfff"]
+    "area",
+    ["A,1", "A1\nB", "A\r1", 'A"1', "A\t1", "A\x001", "A\x7f", "A\x851", "A\u20281", "A\u2029B",
+     "\ud800", "A\udfff"],
 )
 def test_json_area_id_holds_no_chart_breaking_character(area):
     doc = [{"area": area, "directions": [0.1] * 8}]
@@ -276,6 +281,48 @@ def test_area_record_is_a_named_tuple_that_validates_every_copy():
         rec._replace(area_id="")
     with pytest.raises(BadFieldCount, match="^area 'A' has 2 directions, need 8$"):
         AreaRecord._make(("A", uniform(2), None))
+
+
+# Ids a table reader refuses ("a,b" also splits its CSV row, "a\u2028b" its
+# CSV line) or gives back changed (" pad " comes back stripped).
+@pytest.mark.parametrize(
+    "area_id",
+    ["a,b", 'a"b', "a\nb", "a\tb", "a\x85b", "a\u2028b", "a\u2029b", "\ud800", "a\udfff",
+     " pad ", "pad\u3000", "\u00a0pad", 7, b"A"],
+)
+def test_area_record_refuses_an_id_a_reader_would_not_give_back(area_id):
+    message = rf"^area id {re.escape(repr(area_id))} must be a string with no surrounding"
+    with pytest.raises(ValidationFailure, match=message):
+        AreaRecord(area_id, uniform(8))
+    with pytest.raises(ValidationFailure, match=message):
+        AreaRecord("A", uniform(8))._replace(area_id=area_id)
+
+
+# Any code point, lone surrogates included.
+_ANY_CHAR = st.characters(exclude_categories=()) | st.characters(
+    min_codepoint=0xD800, max_codepoint=0xDFFF
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(area_id=st.text(_ANY_CHAR, min_size=1, max_size=5))
+@example(area_id="a,b")
+@example(area_id=" pad ")
+@example(area_id="a\u2028b")
+@example(area_id="\u00e9t\u00e9 \u2192 \U0001f30a")
+def test_an_id_area_record_takes_is_one_both_readers_give_back(area_id):
+    doc = json.dumps([{"area": area_id, "directions": [0.125] * 8}])
+    try:
+        rec = AreaRecord(area_id, uniform(8))
+    except ValidationFailure:
+        # The JSON reader refuses the id or gives back another one.
+        with contextlib.suppress(ParseError):
+            assert parse_area_table(doc, "json")[0].area_id != area_id
+        return
+    for fmt in ("csv", "json"):
+        back = parse_area_table(format_area_table([rec], fmt), fmt)
+        assert [r.area_id for r in back] == [area_id], fmt
+    assert parse_area_table(doc, "json") == [rec]
 
 
 # ----------------------------------------------------------------------
