@@ -117,10 +117,11 @@ def degenerate(n: int, sure_index: int = 0) -> Distribution:
     return Distribution(probs)
 
 
-# The power caches keep four bases: the two cells of one mirrored sweep pair
-# read at most p, 1 - p, p' and 1 - p', and a 3- or 5-point grid has three
-# bases. Keys cannot collide: p and q are floats, and -0.0 is the only zero
-# that reaches a table, because p = +0.0 and p = 1 are built in closed form.
+# Only _table (_BASES_KEPT * 12 = 48 tables) and _coefficients (one row)
+# cache. Four bases cover one mirrored sweep pair (p, 1 - p, p', 1 - p')
+# and the three of a 3- or 5-point grid. Keys cannot collide: p and q are
+# floats, and -0.0 is the only zero that reaches a table, because p = +0.0
+# and p = 1 are built in closed form.
 _BASES_KEPT = 4
 
 # The most cells one sweep_binomial call returns. Each retained cell takes
@@ -150,25 +151,18 @@ def _table(x: float, size: int) -> tuple[float, ...]:
     return tuple(map(pow, repeat(x), range(size)))
 
 
-@lru_cache(maxsize=_BASES_KEPT)
 def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[Sequence[float], Sequence[int]]:
-    """x**k for k = 0..n, split into mantissa and exponent for k = lo..hi - 1.
+    """x**k for k = 0..n, scaled by a power of two on the run lo..hi - 1.
 
-    Returns ``(powers, exps)``. For k in the run lo..hi - 1, the k whose
-    coefficients are past the float range (see _coefficients),
-    ``powers[k]`` is a mantissa and ``exps[k - lo]`` its binary exponent;
-    elsewhere ``powers[k]`` is x**k. The powers below the run, or all n + 1
-    when there is none, are read from a table of base x (see _table); those
-    past the run are computed here.
-
-    The split powers keep a result below the float range, and round as a
-    chunked loop does: x's mantissa m lies in [0.5, 1), so m**b never
+    Returns ``(powers, exps)``: on the run, the k whose coefficients are
+    past the float range (see _coefficients), ``powers[k] * 2**exps[k - lo]``
+    is x**k as a loop over chunks of 1000 powers rounds it; elsewhere
+    ``powers[k]`` is x**k. The powers below the run, or all n + 1 when there
+    is none, are read from a table of base x (see _table), the rest formed
+    here, in C-level passes. x's mantissa m lies in [0.5, 1), so m**b never
     underflows for b <= 1000; ``head`` and ``shift`` are the loop's
-    renormalized mantissa and summed exponent after each full chunk of 1000,
-    and k = a + b takes ``frexp(head * m**b)`` from chunk a's. They depend
-    on (x, k) alone too, but the run moves with n, so they are kept with
-    the result, for four (x, n) pairs: the mirror cell of a sweep and a
-    repeated call read them. Every caller only reads the result.
+    renormalized mantissa and summed exponent after each full chunk, and
+    k = a + b takes ``head * m**b`` from chunk a's.
     """
     stop = n + 1 if lo == hi else lo
     table = _table(x, 1 << (stop - 1).bit_length())
@@ -180,9 +174,15 @@ def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[Sequence[float], S
     head, shift = 1.0, 0
     for a in range(0, hi, 1000):
         bs = range(max(lo - a, 0), min(hi - a, 1000))
-        fr = list(map(math.frexp, map(mul, repeat(head), map(pow, repeat(m), bs))))
-        powers += [f[0] for f in fr]
-        exps += [e * (a + b) + shift + f[1] for b, f in zip(bs, fr)]
+        # Scaled by 2**470, each power is 0 (x = -0.0) or in [2**-531,
+        # 2**470], so with a row entry in [2**63, 2**64] each product
+        # (row * pv) * qv of _terms is 0 or in [2**-999, 2**1004]: every
+        # intermediate is a normal float, so each multiply rounds the
+        # significand that frexp-normalized factors would give, and the one
+        # ldexp in _terms restores the powers of two.
+        powers += map(mul, repeat(math.ldexp(head, 470)), map(pow, repeat(m), bs))
+        base = e * a + shift - 470
+        exps += range(base + e * bs.start, base + e * bs.stop, e) if e else repeat(base, len(bs))
         head, r = math.frexp(head * m**1000)
         shift += r
     powers += map(pow, repeat(x), range(hi, n + 1))
@@ -243,8 +243,8 @@ def binomial(n: int, p: float) -> Distribution:
     rounds exactly as ``C(n, k) * x`` does, so every bit equals that of
     0.1.0, which called math.comb per term. From n = 1030 on, the k whose
     coefficients are past the float range form one run around the centre:
-    there the pass multiplies three mantissas and ``math.ldexp`` applies
-    their summed binary exponent. Every term at least 2**-52 times the
+    there each power is formed per call, scaled by a power of two, and
+    ``math.ldexp`` applies the three factors' summed exponent. Every term at least 2**-52 times the
     largest is within 4 ulp of its exact value for the float q = 1 - p up
     to n = 2000 (tests/test_distributions.py checks n = 1030, 1100 and
     2000). The error grows with n beyond that: at p = 0.3 it is 11 ulp at

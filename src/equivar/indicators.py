@@ -297,8 +297,8 @@ def _scaled_sums(values: Iterable[float], q: int) -> tuple[int, int]:
 
 
 def _moments(
-    probs: Sequence[float], extremes: tuple[float, float]
-) -> tuple[int, int, int, Sequence[float]]:
+    probs: Iterable[float], extremes: tuple[float, float]
+) -> tuple[int, int, int, Iterable[float]]:
     """Exact sums of the probabilities and of their squares, as integers.
 
     Returns ``(s, s2, b, nonzero)`` with sum(p) == s / 2**b and sum(p**2) ==
@@ -306,10 +306,11 @@ def _moments(
     ``nonzero`` holds the non-zero values that were summed: in their given
     order when one window holds them all, and largest first when they were
     sorted into windows, so :func:`analyze` reuses that sort for entropy.
-    Takes any finite non-negative floats; b < 0 only when every non-zero
-    value is at least 2**53. ``extremes`` must be ``(min(probs),
-    max(probs))``, as a :class:`Distribution` keeps them, so the values are
-    not scanned for them again.
+    Takes any finite non-negative floats, from an iterable that can be read
+    again (a one-window ``probs`` comes back as ``nonzero``); b < 0 only
+    when every non-zero value is at least 2**53. ``extremes`` must be
+    ``(min(probs), max(probs))``, as a :class:`Distribution` keeps them, so
+    the values are not scanned for them again.
 
     With 2**q the last mantissa bit of the smallest non-zero value, every
     value is an integer multiple of 2**q. When the largest value is below
@@ -370,14 +371,41 @@ def _or_inf(compute, *args) -> float:
         return math.inf
 
 
+class _Head:
+    """The first ``stop`` of ``values``, read in place each time it is iterated."""
+
+    __slots__ = ("values", "stop")
+
+    def __init__(self, values: Sequence[float], stop: int):
+        self.values, self.stop = values, stop
+
+    def __iter__(self) -> Iterator[float]:
+        return islice(self.values, self.stop)
+
+    def __len__(self) -> int:
+        return self.stop
+
+
+def _reads_reversed(probs: tuple[float, ...]) -> bool:
+    """Whether probs equals its reversal: each ``_CHUNK_VALUES`` values of
+    the first half against their mirror, so no half-length copy is made."""
+    n = len(probs)
+    m = n // 2
+    for i in range(0, m, _CHUNK_VALUES):
+        j = min(i + _CHUNK_VALUES, m)
+        if probs[i:j] != probs[n - 1 - i : n - 1 - j : -1]:
+            return False
+    return True
+
+
 def _exact_fields(dist: Distribution) -> tuple[tuple, dict, float | None]:
     """The entropy's arguments, the report fields the exact sums fix, and N / p_total^2.
 
     The first value holds the arguments of :func:`_entropy`: the kernel's
     non-zero values and None, or for a vector that reads the same reversed,
-    which is summed over its first half (its exact sums are twice the
-    half's less the middle value's once), the half's non-zero values and
-    the middle value (0.0 for even N).
+    which is summed over its first half, read in place (its exact sums are
+    twice the half's less the middle value's once), the half's non-zero
+    values and the middle value (0.0 for even N).
 
     On an all-zero vector N / p_total^2 is None and the fields are the four
     defined there (p_total, p_mean, variance, ref_variance), each 0.0.
@@ -389,10 +417,10 @@ def _exact_fields(dist: Distribution) -> tuple[tuple, dict, float | None]:
     n = dist.n
     probs = dist.probs
     m = n // 2
-    if probs[0] == probs[-1] and probs[:m] == probs[: n - m - 1 : -1]:
+    if probs[0] == probs[-1] and _reads_reversed(probs):
         # The half holds every value of the vector (== treats -0.0 and 0.0
         # alike, and zeros add nothing), so the extremes are the half's too.
-        s, s2, b, nonzero = _moments(probs[: n - m], dist._extremes)
+        s, s2, b, nonzero = _moments(_Head(probs, n - m), dist._extremes)
         mid = probs[m] if n % 2 else 0.0
         # The middle value's scaled integer, exactly: ldexp(mid, b) would
         # overflow for a large b, and the value is a whole multiple of 2**-b.
@@ -467,7 +495,7 @@ def relative_cv(dist: Distribution) -> float:
     return analyze(dist).cv_rel
 
 
-def _entropy(nonzero: Sequence[float], mid: float | None = None) -> float:
+def _entropy(nonzero: Iterable[float], mid: float | None = None) -> float:
     """-sum(p * log2 p) over non-zero probabilities, in bits.
 
     fsum rounds the exact sum of its terms correctly, so the order of the

@@ -85,8 +85,9 @@ class AreaRecord(namedtuple("AreaRecord", "area_id directions region")):
     """One ocean area: identifier plus its 8-direction probability vector.
 
     Validated on construction, copying and unpickling: the id must be one
-    both table readers return as it is, and an unlabelled vector is given
-    DIRECTION_LABELS.
+    both table readers return as it is, the region a string or None (the
+    JSON table gives either back as it is), and an unlabelled vector is
+    given DIRECTION_LABELS.
     """
 
     __slots__ = ()
@@ -98,6 +99,10 @@ class AreaRecord(namedtuple("AreaRecord", "area_id directions region")):
             raise ValidationFailure(
                 f"area id {area_id!r} must be a string with no surrounding whitespace, comma,"
                 " double quote, control character, line separator or lone surrogate"
+            )
+        if not (region is None or isinstance(region, str)):
+            raise ValidationFailure(
+                f"area {area_id!r} region must be a string or None, got {region!r}"
             )
         if directions.n != 8:
             raise BadFieldCount(f"area {area_id!r} has {directions.n} directions, need 8")

@@ -512,6 +512,10 @@ def _big_term(c, p, k, q, m):
 @example(1031, 0.0)
 @example(2999, 1.0)
 @example(1100, 1)
+@example(2003, 0.75)  # e = 0, and a run across the chunk edge at k = 1000
+@example(2003, 0.5)
+@example(2003, -0.0)
+@example(1100, 1e-310)  # a subnormal p, whose run powers underflow
 @settings(max_examples=10, deadline=None)
 def test_binomial_past_the_float_range_keeps_its_bits(n, p):
     got = binomial(n, p).probs
@@ -564,7 +568,6 @@ def test_run_entries_are_the_sticky_cut_of_the_exact_coefficient(n, offset):
 
 def _clear_power_tables():
     distributions._table.cache_clear()
-    distributions._power_table.cache_clear()
 
 
 def _clear_caches():
@@ -597,6 +600,10 @@ def _clear_caches():
 @example([(1100, 5, 0.25), (200, 5, 0.25)])
 @example([(1100, 5, 0.75), (2000, 5, 0.25)])  # both past it, n up, then down
 @example([(2000, 5, 0.25), (1100, 5, 0.75)])
+# On the run: e = 0 (p = 0.75 and 0.5, whose mantissa is p), p = -0.0, a
+# subnormal p, and n = 2003, whose run crosses the chunk edge at k = 1000.
+@example([(2003, 5, 0.75), (2003, 3, 0.5)])
+@example([(2003, 7, -0.0), (1100, 11, 1e-310)])
 @settings(max_examples=8, deadline=None)
 def test_shared_power_tables_keep_every_bit(draws):
     # Calls run back to back, so each may read the tables the last one left;
@@ -616,7 +623,7 @@ def test_shared_power_tables_keep_every_bit(draws):
         assert _hex(pt.report.to_dict().values()) == _hex(fresh.to_dict().values()), pt[:2]
 
 
-@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.75])  # p = 0.5 and 0.75 have e = 0
 def test_big_terms_over_many_chunks_keep_their_bits(p):
     # At n = 20000 both p**k and q**(n - k) span two or more chunks of 1000
     # powers for every sampled k, on both sides of the mode.
@@ -636,8 +643,6 @@ def test_caches_stay_bounded_after_a_sweep():
     sweep_binomial([1100, 40], 101)
     tables = distributions._table.cache_info()
     assert tables.maxsize == 48 and 0 < tables.currsize <= 48
-    results = distributions._power_table.cache_info()
-    assert results.maxsize == 4 and results.currsize <= 4
     assert distributions._coefficients.cache_info().maxsize == 1
 
 
@@ -649,11 +654,11 @@ def test_power_tables_are_powers_of_two_long_and_cover_the_call(monkeypatch, n, 
     _, shifts = distributions._coefficients(n)
     read = n + 1 if not shifts else (n + 1 - len(shifts)) // 2
     _clear_caches()
-    real, sizes = distributions._table, []
-    monkeypatch.setattr(distributions, "_table", lambda x, size: sizes.append(size) or real(x, size))
+    real, keys = distributions._table, set()
+    monkeypatch.setattr(distributions, "_table", lambda x, size: keys.add((x, size)) or real(x, size))
     binomial(n, p)
-    assert len(sizes) == (1 if p == 0.5 else 2)  # at p = 0.5, q is the same base
-    for size in sizes:
+    assert len(keys) == (1 if p == 0.5 else 2)  # at p = 0.5, q is the same base
+    for _, size in keys:
         assert size & (size - 1) == 0 and read <= size <= 2**11, (size, read)
 
 

@@ -495,8 +495,8 @@ def test_the_chunk_size_moves_no_bit(probs):
 
 
 # Besides the vector, analyze holds one chunk of ints (~50 KB) and at most
-# one pointer per value: the zero-free list, the sorted one (and the sort's
-# merge buffer, up to half as long), or a palindrome's halves.
+# one pointer per value: the zero-free list or the sorted one (and the
+# sort's merge buffer, up to half as long).
 @pytest.mark.parametrize(
     "shape, most",
     [("one-window", 2**20), ("windowed", 12 * 200_000 + 2**20), ("zero-padded", 12 * 200_000 + 2**20),
@@ -512,6 +512,32 @@ def test_analyze_working_memory_does_not_hold_an_int_per_value(shape, most):
     finally:
         tracemalloc.stop()
     assert peak < most, peak
+
+
+def test_a_palindrome_is_compared_and_summed_in_place():
+    # Two half-length copies, to compare the halves, took 1.6 MB here; now
+    # the halves are compared a chunk at a time and the first is summed in
+    # place, so one window's working memory is about one chunk of ints.
+    half = [x / 2 for x in _long_vector("one-window", 100_000, 0)]
+    dist = from_probabilities(half + half[::-1])
+    assert indicators._reads_reversed(dist.probs)
+    analyze(dist)
+    tracemalloc.start()
+    try:
+        analyze(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800_000, peak
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5]), max_size=12), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_reads_reversed_is_tuple_equality_with_the_reversal(values, chunk):
+    probs = tuple(values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indicators, "_CHUNK_VALUES", chunk)
+        assert indicators._reads_reversed(probs) == (probs == probs[::-1])
 
 
 @given(rearranged())

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import typing
 
+import pytest
+
 import equivar
 from equivar import cli, distributions, indicators, oracle, waveclimate
 
@@ -83,11 +85,30 @@ def test_import_equivar_loads_no_module_of_its_own_no_json_and_no_numpy():
     assert {m for m in loaded if m.startswith("equivar.") or m in ("json", "numpy")} == set()
 
 
-def test_cli_analyze_loads_neither_distributions_nor_oracle_nor_numpy():
-    loaded = _imported("-m", "equivar", "analyze", "--probs", "0.5", "--probs", "0.5",
-                       "--no-timestamp")
-    assert {"equivar.cli", "equivar.indicators"} <= loaded
-    assert loaded.isdisjoint({"equivar.distributions", "equivar.oracle", "numpy"})
+# Each command, and the modules of its own it may load besides cli,
+# indicators and waveclimate, which every command loads (an upper bound).
+_COMMANDS = {
+    "analyze": (["analyze", "--probs", "0.5", "--probs", "0.5"], set()),
+    "binomial-sweep": (["binomial-sweep", "--n", "3", "--p-steps", "5"], {"equivar.distributions"}),
+    "gws": (["gws", "--input", equivar.sample_table_path()], set()),
+    "rose": (["rose", "--input", equivar.sample_table_path(), "--area", "A64"], set()),
+    # oracle reads its integer and probability arguments as distributions does.
+    "oracle-cross": (["oracle", "--check", "cross", "--probs", "0.5", "--probs", "0.5"],
+                     {"equivar.oracle", "equivar.distributions"}),
+    "oracle-max-variance": (
+        ["oracle", "--check", "max-variance", "--n", "3", "--p-total", "1", "--trials", "100"],
+        {"equivar.oracle", "equivar.distributions", "numpy"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_cli_command_loads_only_the_modules_it_uses(command):
+    args, allowed = _COMMANDS[command]
+    loaded = _imported("-m", "equivar", *args, "--no-timestamp")
+    assert {"equivar.cli", "equivar.indicators", "equivar.waveclimate"} <= loaded
+    optional = {"equivar.distributions", "equivar.oracle", "numpy"}
+    assert loaded & optional <= allowed, loaded & optional
 
 
 def test_dir_lists_every_export():

@@ -283,6 +283,21 @@ def test_area_record_is_a_named_tuple_that_validates_every_copy():
         AreaRecord._make(("A", uniform(2), None))
 
 
+@pytest.mark.parametrize("region", [5, 0.5, b"P", ["P"], True])
+def test_area_record_refuses_a_region_that_is_not_a_string(region):
+    message = rf"^area 'A' region must be a string or None, got {re.escape(repr(region))}$"
+    with pytest.raises(ValidationFailure, match=message):
+        AreaRecord("A", uniform(8), region)
+    with pytest.raises(ValidationFailure, match=message):
+        AreaRecord("A", uniform(8))._replace(region=region)
+
+
+@pytest.mark.parametrize("region", [None, "P", "", " eastern Pacific ", "\u00e9\n\ud800"])
+def test_area_record_comes_back_from_a_json_table_as_it_was(region):
+    rec = AreaRecord("A", uniform(8), region)
+    assert parse_area_table(format_area_table([rec], "json"), "json") == [rec]
+
+
 # Ids a table reader refuses ("a,b" also splits its CSV row, "a\u2028b" its
 # CSV line) or gives back changed (" pad " comes back stripped).
 @pytest.mark.parametrize(
