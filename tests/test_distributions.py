@@ -273,7 +273,7 @@ def test_binomial_reads_a_real_p_as_the_equal_float(n, p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _hex(binomial(n, p).probs)
-    _clear_power_tables()
+    distributions._table.cache_clear()
     assert got == _hex(binomial(n, float(p)).probs)
 
 
@@ -566,13 +566,9 @@ def test_run_entries_are_the_sticky_cut_of_the_exact_coefficient(n, offset):
 # the power tables shared by mirror cells
 
 
-def _clear_power_tables():
-    distributions._table.cache_clear()
-
-
 def _clear_caches():
     distributions._coefficients.cache_clear()
-    _clear_power_tables()
+    distributions._table.cache_clear()
 
 
 @given(
