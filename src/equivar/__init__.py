@@ -13,8 +13,9 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # Each module's __all__ decides what it makes public, and the package
-# re-exports them in this order. A module is imported on the first use of one
-# of its names (PEP 562), so ``import equivar`` loads none.
+# re-exports them in this order. ``import equivar`` loads none of them. A name
+# is looked up on first use (PEP 562) by importing them in this order until one
+# lists it, so a lookup loads the name's own module and every one before it.
 _EXPORTERS = ("indicators", "distributions", "oracle", "waveclimate")
 
 

@@ -23,7 +23,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroSize,
 )
-from .indicators import Distribution, analyze
+from .indicators import Distribution, _integer, _unit_interval, analyze
 
 __all__ = [
     "SweepPoint",
@@ -70,31 +70,6 @@ def from_counts(counts: Sequence[int]) -> Distribution:
         raise AllZeroCounts("every count is zero")
     # int / int rounds the exact quotient once; each is at most 1, so none overflows.
     return Distribution(tuple(c / total for c in counts))
-
-
-def _integer(value, name: str, least: int, error: type = ParameterOutOfRange, most=None) -> int:
-    """value as an int (anything operator.index takes); one below ``least``
-    raises ``error``, and one above ``most`` raises ParameterOutOfRange."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ParameterOutOfRange(f"need an integer {name}, got {value!r}") from None
-    if value < least:
-        raise error(f"need {name} >= {least}, got {value}")
-    if most is not None and value > most:
-        raise ParameterOutOfRange(f"need {name} <= {most}, got {value}")
-    return value
-
-
-def _unit_interval(value, name: str, above_zero: bool = False) -> float:
-    """value as a float in [0, 1], or in (0, 1] when ``above_zero``; a NaN is neither."""
-    try:
-        if (0.0 < value if above_zero else 0.0 <= value) and value <= 1.0:
-            return float(value)
-    except (TypeError, ValueError, ArithmeticError):  # not a real number
-        pass
-    low = "0 <" if above_zero else "0 <="
-    raise ParameterOutOfRange(f"need {low} {name} <= 1, got {value!r}")
 
 
 def uniform(n: int) -> Distribution:

@@ -52,10 +52,14 @@ Identities between them therefore hold to the last ulp: a uniform vector
 has CV exactly 0, the closed form of CV agrees exactly with sigma/mean, and
 the duality residual stays at rounding level (~1e-16) for any valid input.
 Entropy and H_rel use correctly rounded float summation (math.fsum) of
-the terms p * log2(p). While every term is a normal float, an error
-argument (in tests/test_accuracy.py, which checks it against 60 digits)
-bounds entropy_bits to 6 ulp and entropy_rel to 9 ulp; about 3 ulp is the
-most measured. F = 2**H turns H's absolute error into a relative error
+the terms p * log2(p). When the total is below 1/2, each term is formed on
+p * 2**k instead, with 2**k taking the total into [1, 2), and the sum is
+divided by 2**k * p_total: an exact scaling, so no bit moves where every
+term is normal, and the terms of a tiny vector stay clear of underflow.
+While every term is a normal float, an error argument (in
+tests/test_accuracy.py, which checks it against 60 digits) bounds
+entropy_bits to 6 ulp and entropy_rel to 9 ulp; about 3 ulp is the most
+measured. F = 2**H turns H's absolute error into a relative error
 ln 2 * H times as large, so F is bounded by 1 + 6 ln 2 * H ulp: its error
 grows with H (up to ~1500 ulp measured at H ~ 1000 bits, on tiny
 incomplete vectors). That is the conditioning of 2**H. Being
@@ -75,6 +79,7 @@ its bits; a vector whose first and last values differ pays one comparison.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
@@ -89,6 +94,7 @@ from .errors import (
     NegativeProbability,
     NonFinite,
     NonNumericProbability,
+    ParameterOutOfRange,
     ProbabilityAboveOne,
     SumExceedsOne,
     ValidationFailure,
@@ -136,6 +142,31 @@ def _first_non_number(values: tuple) -> EquivarError:
             return NonNumericProbability(f"probability {i} is past the float range")
         except (TypeError, ValueError):
             return NonNumericProbability(f"probability {i} is not a number: {value!r}")
+
+
+def _integer(value, name: str, least: int, error: type = ParameterOutOfRange, most=None) -> int:
+    """value as an int (anything operator.index takes); one below ``least``
+    raises ``error``, and one above ``most`` raises ParameterOutOfRange."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterOutOfRange(f"need an integer {name}, got {value!r}") from None
+    if value < least:
+        raise error(f"need {name} >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ParameterOutOfRange(f"need {name} <= {most}, got {value}")
+    return value
+
+
+def _unit_interval(value, name: str, above_zero: bool = False) -> float:
+    """value as a float in [0, 1], or in (0, 1] when ``above_zero``; a NaN is neither."""
+    try:
+        if (0.0 < value if above_zero else 0.0 <= value) and value <= 1.0:
+            return float(value)
+    except (TypeError, ValueError, ArithmeticError):  # not a real number
+        pass
+    low = "0 <" if above_zero else "0 <="
+    raise ParameterOutOfRange(f"need {low} {name} <= 1, got {value!r}")
 
 
 class Distribution:
@@ -495,19 +526,23 @@ def relative_cv(dist: Distribution) -> float:
     return analyze(dist).cv_rel
 
 
-def _entropy(nonzero: Iterable[float], mid: float | None = None) -> float:
-    """-sum(p * log2 p) over non-zero probabilities, in bits.
+def _entropy(nonzero: Iterable[float], mid: float | None = None, k: int = 0) -> float:
+    """-sum(p * 2**k * log2 p) over non-zero probabilities, in bits.
 
     fsum rounds the exact sum of its terms correctly, so the order of the
     values changes no bit, only the time: fsum carries fewer partials when
     the terms come largest first. With ``mid`` given, ``nonzero`` is the
     first half of a palindrome, ``mid`` included: its terms are doubled
     (exactly) and the middle term is taken once away, so fsum rounds the
-    whole vector's exact sum.
+    whole vector's exact sum. With k > 0 each term is formed on p * 2**k,
+    an exact scaling, so that terms of a tiny vector do not underflow.
     """
-    terms = map(mul, nonzero, map(math.log2, nonzero))
+    scaled = map(math.ldexp, nonzero, repeat(k)) if k else nonzero
+    terms = map(mul, scaled, map(math.log2, nonzero))
     if mid is not None:
-        terms = chain(map(mul, terms, repeat(2.0)), [-(mid * math.log2(mid))] if mid else [])
+        terms = chain(
+            map(mul, terms, repeat(2.0)), [-(math.ldexp(mid, k) * math.log2(mid))] if mid else []
+        )
     h = -math.fsum(terms)
     return h + 0.0  # normalize -0.0 from the all-certain case
 
@@ -596,7 +631,11 @@ def analyze(dist: Distribution) -> IndicatorReport:
     summed, fields, rhs = _exact_fields(dist)
     if rhs is None:
         raise AllImpossible("indicators undefined: zero total probability")
-    h_bits = _entropy(*summed) / fields["p_total"]
+    p_total = fields["p_total"]
+    # A total below 1/2 is scaled by 2**k into [1, 2), exactly, so that the
+    # entropy terms of a tiny vector do not underflow.
+    k = 1 - math.frexp(p_total)[1] if p_total < 0.5 else 0
+    h_bits = _entropy(*summed, k) / math.ldexp(p_total, k)
     return IndicatorReport(
         n_outcomes=n,
         **fields,

@@ -14,9 +14,10 @@ import sys
 from collections import namedtuple
 from operator import truediv
 
-from .distributions import _integer, _unit_interval
 from .errors import IncompleteDistribution, ParameterOutOfRange
-from .indicators import TOL_SUM, Distribution, _or_inf, analyze, total_probability
+from .indicators import (
+    TOL_SUM, Distribution, _integer, _or_inf, _unit_interval, analyze, total_probability,
+)
 
 __all__ = [
     "ORACLE_TOL",
@@ -214,8 +215,7 @@ def cross_check_report(dist: Distribution) -> OracleResult:
     :func:`analyze` uses too, and two infinities agree. Deviations and
     entropy terms are formed on the weights w = p * 2**k, with k taking
     their total into [1, 2): exact scaling, so no bit moves in the normal
-    range, and tiny vectors are checked clear of underflow. The check fails
-    on ``[1e-320, 1e-320]``, where analyze's own entropy terms are subnormal.
+    range, and tiny vectors are checked clear of underflow.
     """
     report = analyze(dist)  # raises AllImpossible on zero mass
     probs = dist.probs

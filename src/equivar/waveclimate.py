@@ -2,9 +2,10 @@
 the package's one input reader.
 
 Every input file the CLI takes, an area table or a single probability
-vector (``read_vector``), is decoded here, under one policy: UTF-8 text,
-JSON through one loader, and one number check per format. In JSON only
-numbers are probabilities (not booleans, strings or null). Every failure
+vector (``read_vector``), is decoded here, under one policy: UTF-8 text
+(bytes may start with a byte-order mark, which is skipped), JSON through
+one loader, and one number check per format. In JSON only numbers are
+probabilities (not booleans, strings or null). Every failure
 is a typed ``ParseError``, and one about a value names its row or entry in
 its message (the exception carries no ``row`` attribute).
 
@@ -85,20 +86,25 @@ class AreaRecord(namedtuple("AreaRecord", "area_id directions region")):
     """One ocean area: identifier plus its 8-direction probability vector.
 
     Validated on construction, copying and unpickling: the id must be one
-    both table readers return as it is, the region a string or None (the
-    JSON table gives either back as it is), and an unlabelled vector is
-    given DIRECTION_LABELS.
+    both table readers return as it is (they leave that check to it), the
+    region a string or None (the JSON table gives either back as it is),
+    and an unlabelled vector is given DIRECTION_LABELS.
     """
 
     __slots__ = ()
 
     def __new__(cls, area_id: str, directions: Distribution, region: str | None = None):
-        if not area_id:
-            raise ValidationFailure("area id must be non-empty")
-        if not (isinstance(area_id, str) and area_id == area_id.strip() and _writable_id(area_id)):
+        # Not-a-string first, so that a falsy id such as 0 is not called empty.
+        if not isinstance(area_id, str) or area_id != area_id.strip():
             raise ValidationFailure(
-                f"area id {area_id!r} must be a string with no surrounding whitespace, comma,"
-                " double quote, control character, line separator or lone surrogate"
+                f"area id {area_id!r} must be a string with no surrounding whitespace"
+            )
+        if not area_id:
+            raise ValidationFailure("empty area id")
+        if not _writable_id(area_id):
+            raise ValidationFailure(
+                f"area id {area_id!r} holds a comma, a double quote, "
+                "a control character, a line separator or a lone surrogate"
             )
         if not (region is None or isinstance(region, str)):
             raise ValidationFailure(
@@ -142,7 +148,7 @@ def _decode(data: bytes | str | io.IOBase) -> str:
     if not isinstance(text, (bytes, bytearray)):
         raise ParseError(f"input must be bytes, text or a file, not {type(data).__name__}")
     try:
-        return text.decode("utf-8")
+        return text.decode("utf-8-sig")  # a leading byte-order mark is skipped
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
 
@@ -256,14 +262,7 @@ def _add_area(
     records: dict[str, AreaRecord], where: str, area_id: str, values, number,
     region: str | None = None,
 ) -> None:
-    """Check one table row's id and 8 values (read by ``number``) and record it."""
-    if not area_id:
-        raise ParseError(f"{where}: empty area id")
-    if not _writable_id(area_id):
-        raise ParseError(
-            f"{where}: area id {area_id!r} holds a comma, a double quote, "
-            "a control character, a line separator or a lone surrogate"
-        )
+    """Record one table row: its 8 values read by ``number``, its id checked by AreaRecord."""
     if area_id in records:
         raise DuplicateAreaId(f"{where}: duplicate area {area_id!r}")
     probs = [number(value, f"{where}: d{label}") for label, value in zip(DIRECTION_LABELS, values)]
@@ -271,7 +270,10 @@ def _add_area(
         dist = Distribution(probs, DIRECTION_LABELS)
     except ValidationFailure as exc:
         raise type(exc)(f"{where}: {exc}") from None
-    records[area_id] = AreaRecord(area_id=area_id, directions=dist, region=region)
+    try:
+        records[area_id] = AreaRecord(area_id=area_id, directions=dist, region=region)
+    except ValidationFailure as exc:  # the id's fault: the region is None or a str
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _parse_csv(text: str) -> list[AreaRecord]:

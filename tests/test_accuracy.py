@@ -31,8 +31,9 @@ so a relative error of k*eps is under k ulp.
   within 1 ulp.
 
 The argument holds while every term is a normal float, so every non-zero
-probability drawn here is at least 2**-1000. Below that the terms lose
-digits to underflow, a known loss pinned by its own tests. The quotients
+probability drawn here is at least 2**-1000. analyze forms the terms of a
+total below 1/2 on p * 2**k, with 2**k p_total in [1, 2), which keeps them
+normal on tiny vectors; test_kernel.py holds those to these bounds. The quotients
 under the roots are normal floats at any input: a non-zero CV^2 is at
 least about 2**-106 / N, since the values differ by at least one ulp.
 """

@@ -85,6 +85,24 @@ def test_import_equivar_loads_no_module_of_its_own_no_json_and_no_numpy():
     assert {m for m in loaded if m.startswith("equivar.") or m in ("json", "numpy")} == set()
 
 
+def _modules_after(code: str) -> set[str]:
+    """sys.modules of a fresh interpreter that ran code. -X importtime does not
+    log a module the package's __getattr__ loads with import_module."""
+    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+                          capture_output=True, text=True, env=_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_a_lookup_loads_the_exporters_up_to_its_own_module_and_no_numpy():
+    # The package searches indicators, distributions, oracle, waveclimate in turn.
+    loaded = _modules_after("from equivar import binomial")
+    assert "equivar.distributions" in loaded
+    assert loaded & {"equivar.oracle", "equivar.waveclimate", "numpy"} == set()
+    loaded = _modules_after("import equivar; [getattr(equivar, n) for n in equivar.__all__]")
+    assert {"equivar.oracle", "equivar.waveclimate"} <= loaded and "numpy" not in loaded
+
+
 # Each command, and the modules of its own it may load besides cli,
 # indicators and waveclimate, which every command loads (an upper bound).
 _COMMANDS = {
@@ -92,12 +110,11 @@ _COMMANDS = {
     "binomial-sweep": (["binomial-sweep", "--n", "3", "--p-steps", "5"], {"equivar.distributions"}),
     "gws": (["gws", "--input", equivar.sample_table_path()], set()),
     "rose": (["rose", "--input", equivar.sample_table_path(), "--area", "A64"], set()),
-    # oracle reads its integer and probability arguments as distributions does.
     "oracle-cross": (["oracle", "--check", "cross", "--probs", "0.5", "--probs", "0.5"],
-                     {"equivar.oracle", "equivar.distributions"}),
+                     {"equivar.oracle"}),
     "oracle-max-variance": (
         ["oracle", "--check", "max-variance", "--n", "3", "--p-total", "1", "--trials", "100"],
-        {"equivar.oracle", "equivar.distributions", "numpy"},
+        {"equivar.oracle", "numpy"},
     ),
 }
 

@@ -144,7 +144,7 @@ def test_constructors_take_keywords_and_normalize_fields():
          "probabilities sum to 1.25, above 1 + 1e-09"),
         (lambda: Distribution((0.5, 0.5), ("a",)), LabelLengthMismatch,
          "1 labels for 2 probabilities"),
-        (lambda: AreaRecord("", uniform(8)), ValidationFailure, "area id must be non-empty"),
+        (lambda: AreaRecord("", uniform(8)), ValidationFailure, "empty area id"),
         (lambda: AreaRecord("A", uniform(2)), BadFieldCount, "area 'A' has 2 directions, need 8"),
         (lambda: AreaRecord("A", Distribution((0.125,) * 8, tuple("abcdefgh"))),
          ValidationFailure, "area 'A' labels must be N,NE,E,SE,S,SW,W,NW"),

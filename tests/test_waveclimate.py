@@ -242,6 +242,22 @@ def test_read_vector_csv_and_json():
 
 
 @pytest.mark.parametrize(
+    "reader, data, fmt",
+    [
+        (read_vector, b"0.5,0.25\n0.25\n", "csv"),
+        (read_vector, b'{"probs": [0.5, 0.5], "labels": ["H", "T"]}', "json"),
+        (parse_area_table, table(A64_ROW, A86_ROW), "csv"),
+        (parse_area_table, b'[{"area": "A1", "directions": [0.125, 0.125, 0.125, 0.125,'
+         b' 0.125, 0.125, 0.125, 0.125], "region": "P"}]', "json"),
+    ],
+    ids=["vector-csv", "vector-json", "table-csv", "table-json"],
+)
+def test_bytes_read_the_same_after_a_byte_order_mark(reader, data, fmt):
+    assert reader(b"\xef\xbb\xbf" + data, fmt) == reader(data, fmt)
+    assert reader(io.BytesIO(b"\xef\xbb\xbf" + data), fmt) == reader(data, fmt)
+
+
+@pytest.mark.parametrize(
     "directions, match",
     [
         ([0.1] * 7 + ["0.1"], 'entry 1: dNW is not a number: "0.1"'),
@@ -277,7 +293,7 @@ def test_area_record_is_a_named_tuple_that_validates_every_copy():
     rec = AreaRecord("A", uniform(8), "P")
     assert isinstance(rec, tuple) and rec == ("A", rec.directions, "P")
     assert rec._replace(region=None) == AreaRecord("A", uniform(8))
-    with pytest.raises(ValidationFailure, match="^area id must be non-empty$"):
+    with pytest.raises(ValidationFailure, match="^empty area id$"):
         rec._replace(area_id="")
     with pytest.raises(BadFieldCount, match="^area 'A' has 2 directions, need 8$"):
         AreaRecord._make(("A", uniform(2), None))
@@ -299,14 +315,20 @@ def test_area_record_comes_back_from_a_json_table_as_it_was(region):
 
 
 # Ids a table reader refuses ("a,b" also splits its CSV row, "a\u2028b" its
-# CSV line) or gives back changed (" pad " comes back stripped).
+# CSV line), in the reader's words, or gives back changed (" pad " comes
+# back stripped). A falsy non-string such as 0 is not called empty.
+_UNWRITABLE = "holds a comma, a double quote, a control character, a line separator or a lone surrogate"
+_NOT_STRIPPED = [" pad ", "pad\u3000", "\u00a0pad", 7, b"A", 0, None]
+
+
 @pytest.mark.parametrize(
     "area_id",
     ["a,b", 'a"b', "a\nb", "a\tb", "a\x85b", "a\u2028b", "a\u2029b", "\ud800", "a\udfff",
-     " pad ", "pad\u3000", "\u00a0pad", 7, b"A"],
+     *_NOT_STRIPPED],
 )
 def test_area_record_refuses_an_id_a_reader_would_not_give_back(area_id):
-    message = rf"^area id {re.escape(repr(area_id))} must be a string with no surrounding"
+    fault = "must be a string with no surrounding whitespace" if area_id in _NOT_STRIPPED else _UNWRITABLE
+    message = rf"^area id {re.escape(repr(area_id))} {fault}$"
     with pytest.raises(ValidationFailure, match=message):
         AreaRecord(area_id, uniform(8))
     with pytest.raises(ValidationFailure, match=message):
