@@ -8,6 +8,12 @@ is built once per run, so every output of one run carries the same one,
 stamped when the command starts. Outputs default to stdout; ``-`` as a
 path also means stdout. ``--no-timestamp`` drops the generated_at field
 so outputs are byte-stable for golden tests.
+
+Every command runs in one order: ``main`` reads the ``--input`` file, the
+command builds every output as text and writes nothing, and ``main`` then
+writes the outputs in the order listed. So a run that fails before the
+write leaves no output; an output that cannot be opened or written exits 2
+and leaves the earlier ones written.
 """
 
 from __future__ import annotations
@@ -109,14 +115,14 @@ def _nonfinite_as_strings(obj):
     return obj
 
 
-def _write_json(path: str | None, meta: dict, payload) -> None:
+def _json(meta: dict, payload) -> str:
     # Strict JSON has no infinity or NaN; such fields become the strings
     # "Infinity", "-Infinity" and "NaN".
     doc = _nonfinite_as_strings({**meta, "payload": payload})
-    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _write_csv(path: str | None, meta: dict, header: str, rows: Sequence[tuple]) -> None:
+def _csv(meta: dict, header: str, rows: Sequence[tuple]) -> str:
     # The one place a CSV cell is formatted: floats to 12 significant digits.
     lines = [f"# {key}: {value}" for key, value in meta.items()]
     lines.append(header)
@@ -124,7 +130,7 @@ def _write_csv(path: str | None, meta: dict, header: str, rows: Sequence[tuple])
         ",".join([format(cell, ".12g") if isinstance(cell, float) else str(cell) for cell in row])
         for row in rows
     ]
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # Flag types: each reads its value as a CSV cell is read (ASCII, no ``_``),
@@ -147,28 +153,17 @@ def integer_list(text: str) -> list[int]:
     return values
 
 
-def _read_input(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot open input: {exc}") from None
-
-
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each maps (args, meta, the --input file's bytes or None) to
+# (exit code, [(destination, text), ...]) and writes nothing itself.
 
-def _cmd_analyze(args, meta: dict) -> int:
-    if args.probs is not None:
-        values, labels = args.probs, None
-    else:
-        values, labels = read_vector(_read_input(args.input), args.format)
+def _cmd_analyze(args, meta: dict, data: bytes | None):
+    values, labels = (args.probs, None) if data is None else read_vector(data, args.format)
     report = analyze(Distribution(values, labels))
-    _write_json(args.output, meta, report.to_dict())
-    return EXIT_OK
+    return EXIT_OK, [(args.output, _json(meta, report.to_dict()))]
 
 
-def _cmd_binomial_sweep(args, meta: dict) -> int:
+def _cmd_binomial_sweep(args, meta: dict, data: None):
     # Imported by the one command that uses it, so the others never load it.
     from .distributions import sweep_binomial
 
@@ -177,32 +172,27 @@ def _cmd_binomial_sweep(args, meta: dict) -> int:
          pt.report.avg_number_f, pt.report.equiv_number_d, pt.report.equiv_number_g)
         for pt in sweep_binomial(args.n, args.p_steps)
     ]
-    _write_csv(args.output, meta, "n,p,cv,cv_rel,entropy_bits,f,d,g", rows)
-    return EXIT_OK
+    return EXIT_OK, [(args.output, _csv(meta, "n,p,cv,cv_rel,entropy_bits,f,d,g", rows))]
 
 
-def _cmd_gws(args, meta: dict) -> int:
-    records = parse_area_table(_read_input(args.input), args.format)
+def _cmd_gws(args, meta: dict, data: bytes):
+    records = parse_area_table(data, args.format)
     # Analyze each area once; the ranking and the chart both read these.
     reports = [area_report(rec) for rec in records]
     ranked = reports if args.rank is None else rank_areas(reports, args.rank)
-    # Built before any output, so a table it refuses leaves nothing written.
-    chart = None if args.chart is None else chart_data(reports)
-    _write_json(args.report, meta, [ar.to_dict() for ar in ranked])
-    if chart is not None:
-        _write_csv(args.chart, meta, ",".join(ChartRow._fields), chart)
-    return EXIT_OK
+    outputs = [(args.report, _json(meta, [ar.to_dict() for ar in ranked]))]
+    if args.chart is not None:
+        outputs.append((args.chart, _csv(meta, ",".join(ChartRow._fields), chart_data(reports))))
+    return EXIT_OK, outputs
 
 
-def _cmd_rose(args, meta: dict) -> int:
-    records = parse_area_table(_read_input(args.input), "csv")
-    record = find_area(records, args.area)
+def _cmd_rose(args, meta: dict, data: bytes):
+    record = find_area(parse_area_table(data, "csv"), args.area)
     rows = [(deg, label, p) for (deg, p), label in zip(rose_data(record), DIRECTION_LABELS)]
-    _write_csv(args.output, meta, "bearing_deg,direction,probability", rows)
-    return EXIT_OK
+    return EXIT_OK, [(args.output, _csv(meta, "bearing_deg,direction,probability", rows))]
 
 
-def _cmd_oracle(args, meta: dict) -> int:
+def _cmd_oracle(args, meta: dict, data: None):
     # As for sweep_binomial: only this command loads the oracle.
     from .oracle import cross_check_report, mc_max_variance, verify_sum_squares_bounds
 
@@ -226,8 +216,8 @@ def _cmd_oracle(args, meta: dict) -> int:
             result = verify_sum_squares_bounds(dist)
         else:
             result = cross_check_report(dist)
-    _write_json(args.output, meta, result.to_dict())
-    return EXIT_OK if result.passed else EXIT_CHECK_FAILED
+    code = EXIT_OK if result.passed else EXIT_CHECK_FAILED
+    return code, [(args.output, _json(meta, result.to_dict()))]
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +364,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, _metadata(args))
+        meta, data = _metadata(args), None
+        if getattr(args, "input", None) is not None:
+            try:
+                with open(args.input, "rb") as fh:
+                    data = fh.read()
+            except OSError as exc:
+                raise OSError(f"cannot open input: {exc}") from None
+        code, outputs = args.func(args, meta, data)
+        for path, text in outputs:
+            _write_text(path, text)
+        return code
     # Only flag values reach the library parameters that raise these two
     # (n, p_steps, p_total, trials, seed): a grid p is always in range, and
     # validating a vector raises neither. So each names a flag value.

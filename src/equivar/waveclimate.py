@@ -3,9 +3,9 @@ the package's one input reader.
 
 Every input file the CLI takes, an area table or a single probability
 vector (``read_vector``), is decoded here, under one policy: UTF-8 text
-(bytes may start with a byte-order mark, which is skipped), JSON through
-one loader, and one number check per format. In JSON only numbers are
-probabilities (not booleans, strings or null). Every failure
+(one leading byte-order mark is skipped, in bytes, text and files alike),
+JSON through one loader, and one number check per format. In JSON only
+numbers are probabilities (not booleans, strings or null). Every failure
 is a typed ``ParseError``, and one about a value names its row or entry in
 its message (the exception carries no ``row`` attribute).
 
@@ -144,7 +144,7 @@ class ChartRow(namedtuple("ChartRow", "area_id p_total cv_rel h_rel d f g")):
 def _decode(data: bytes | str | io.IOBase) -> str:
     text = data.read() if hasattr(data, "read") else data
     if isinstance(text, str):
-        return text
+        return text.removeprefix("\ufeff")  # as utf-8-sig skips it in bytes
     if not isinstance(text, (bytes, bytearray)):
         raise ParseError(f"input must be bytes, text or a file, not {type(data).__name__}")
     try:
@@ -328,10 +328,13 @@ def parse_area_table(
 
 
 def format_area_table(records: Sequence[AreaRecord], format: str = "csv") -> str:
-    """Serialize records back to table text; parse(format(parse(x))) round-trips.
+    """Serialize records back to table text that the same format's parser reads back.
 
     Probabilities are written with repr (shortest digits that reparse to
-    the identical float), so a parse/serialize/parse cycle is lossless.
+    the identical float), so ids and probabilities survive a
+    parse/serialize/parse cycle bit for bit. The JSON form keeps every
+    record whole, regions included; the CSV form has no region column, so
+    its records come back with region None.
     """
     if format == "csv":
         lines = [CSV_HEADER]

@@ -336,14 +336,13 @@ def test_infinite_fields_are_strict_json(capsys):
     assert body["equiv_number_g"] == 1.0
 
 
-def test_json_writer_spells_every_non_finite_float(capsys):
+def test_json_renderer_spells_every_non_finite_float():
     payload = [
         {"a": math.nan, "b": -math.inf, "c": math.inf},
         {"a": 0.5, "b": "NaN", "c": 3},
         (math.inf, 1.5),
     ]
-    cli._write_json(None, {"tool_version": cli.__version__, "command": "gws"}, payload)
-    doc = json.loads(capsys.readouterr().out)
+    doc = json.loads(cli._json({"tool_version": cli.__version__, "command": "gws"}, payload))
     assert doc["payload"] == [
         {"a": "NaN", "b": "-Infinity", "c": "Infinity"},
         {"a": 0.5, "b": "NaN", "c": 3},
@@ -351,12 +350,11 @@ def test_json_writer_spells_every_non_finite_float(capsys):
     ]
 
 
-def test_finite_json_output_is_unchanged(capsys):
+def test_finite_json_output_is_unchanged():
     payload = {"x": [0.1, 1e-320, 2.0], "y": {"z": -0.0}}
     meta = {"tool_version": cli.__version__, "command": "analyze"}
-    cli._write_json(None, meta, payload)
     doc = {**meta, "payload": payload}
-    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+    assert cli._json(meta, payload) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_analyze_requires_exactly_one_source(capsys, tmp_path):

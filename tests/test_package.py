@@ -69,29 +69,23 @@ def test_every_public_annotation_resolves():
 _ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(equivar.__file__))}
 
 
-def _imported(*args: str) -> set[str]:
-    """The modules a fresh ``python -X importtime ARGS`` imports, read from its stderr."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          capture_output=True, text=True, env=_ENV)
+def _modules_after(code: str) -> set[str]:
+    """sys.modules of a fresh interpreter that ran code, read from the last line
+    of its stderr, apart from what code writes to stdout. (-X importtime does
+    not log a module the package's __getattr__ loads with import_module.)"""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules, file=sys.stderr)"],
+        capture_output=True, text=True, env=_ENV,
+    )
     assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:") and "|" in line}
+    return set(proc.stderr.splitlines()[-1].split())
 
 
 def test_import_equivar_loads_no_module_of_its_own_no_json_and_no_numpy():
     # A dunder probe, such as doctest's for __test__, loads nothing either.
-    loaded = _imported("-c", "import equivar; hasattr(equivar, '__test__')")
+    loaded = _modules_after("import equivar; hasattr(equivar, '__test__')")
     assert "equivar" in loaded
     assert {m for m in loaded if m.startswith("equivar.") or m in ("json", "numpy")} == set()
-
-
-def _modules_after(code: str) -> set[str]:
-    """sys.modules of a fresh interpreter that ran code. -X importtime does not
-    log a module the package's __getattr__ loads with import_module."""
-    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
-                          capture_output=True, text=True, env=_ENV)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
 
 
 def test_a_lookup_loads_the_exporters_up_to_its_own_module_and_no_numpy():
@@ -122,7 +116,9 @@ _COMMANDS = {
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_each_cli_command_loads_only_the_modules_it_uses(command):
     args, allowed = _COMMANDS[command]
-    loaded = _imported("-m", "equivar", *args, "--no-timestamp")
+    # What `python -m equivar ARGS` runs, less the runpy that starts it.
+    argv = [*args, "--no-timestamp"]
+    loaded = _modules_after(f"from equivar.cli import main\nassert main({argv!r}) == 0")
     assert {"equivar.cli", "equivar.indicators", "equivar.waveclimate"} <= loaded
     optional = {"equivar.distributions", "equivar.oracle", "numpy"}
     assert loaded & optional <= allowed, loaded & optional
