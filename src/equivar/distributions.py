@@ -23,7 +23,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroSize,
 )
-from .indicators import Distribution, _integer, _unit_interval, analyze
+from .indicators import Distribution, _integer, _report, _unit_interval, analyze
 
 __all__ = [
     "SweepPoint",
@@ -132,17 +132,20 @@ def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[Sequence[float], S
     Returns ``(powers, exps)``: on the run, the k whose coefficients are
     past the float range (see _coefficients), ``powers[k] * 2**exps[k - lo]``
     is x**k as a loop over chunks of 1000 powers rounds it; elsewhere
-    ``powers[k]`` is x**k. The powers below the run, or all n + 1 when there
-    is none, are read from a table of base x (see _table), the rest formed
-    here, in C-level passes. x's mantissa m lies in [0.5, 1), so m**b never
-    underflows for b <= 1000; ``head`` and ``shift`` are the loop's
-    renormalized mantissa and summed exponent after each full chunk, and
-    k = a + b takes ``head * m**b`` from chunk a's.
+    ``powers[k]`` is x**k. With no run (lo == hi), ``powers`` is the cached
+    table of base x itself (see _table), not a copy, so it may hold more
+    than n + 1 powers; a caller reads the first n + 1. Otherwise it is a
+    list of n + 1, whose powers below the run are read from that table and
+    the rest formed here, in C-level passes. x's mantissa m lies in
+    [0.5, 1), so m**b never underflows for b <= 1000; ``head`` and
+    ``shift`` are the loop's renormalized mantissa and summed exponent
+    after each full chunk, and k = a + b takes ``head * m**b`` from chunk
+    a's.
     """
     stop = n + 1 if lo == hi else lo
     table = _table(x, 1 << (stop - 1).bit_length())
     if lo == hi:
-        return table[:stop], ()
+        return table, ()
     m, e = math.frexp(x)
     powers = list(table[:lo])
     exps: list[int] = []
@@ -230,9 +233,11 @@ def binomial(n: int, p: float) -> Distribution:
     p = -0.0 takes the general path, whose odd-k terms are -0.0 as in
     0.1.0.
 
-    The endpoints take any n >= 1 up to ``sys.maxsize - 1``. Every other p
-    builds the coefficient row, whose cost grows as n**2, so there an n
-    past ``_BINOMIAL_MAX_N`` (2**20, about 2 minutes of row) raises
+    At the endpoints the n check takes any n >= 1 up to ``sys.maxsize -
+    1``, but the vector still holds n + 1 floats, so memory bounds n there
+    (a sweep's endpoint cells build no vector; see sweep_binomial). Every
+    other p builds the coefficient row, whose cost grows as n**2, so there
+    an n past ``_BINOMIAL_MAX_N`` (2**20, about 2 minutes of row) raises
     ParameterOutOfRange before any work is done.
     """
     n = _integer(n, "n", 1, ZeroSize, sys.maxsize - 1)  # n + 1 outcomes
@@ -247,15 +252,23 @@ def _terms(n: int, p: float) -> tuple[float, ...]:
     """The pmf of B(n, p) as a tuple of floats, for n and p as binomial
     reads them and p neither 1 nor +0.0; see binomial for how.
 
+    The terms are formed in one pass over the row (n + 1 long, so it stops
+    the pass where a power table runs longer) and the reversed first n + 1
+    powers of q, the one copy made; with no run that pass forms the tuple
+    itself. At p = 0.5, where q = 1 - p is p, one power table serves both.
     binomial validates the terms as a Distribution; sweep_binomial does so
     only for a mirror cell it analyzes.
     """
     row, shifts = _coefficients(n)
     lo = (n + 1 - len(shifts)) // 2
     hi = lo + len(shifts)
+    q = 1.0 - p
     pk, pe = _power_table(p, n, lo, hi)
-    qk, qe = _power_table(1.0 - p, n, lo, hi)
-    probs = list(map(mul, map(mul, row, pk), reversed(qk)))
+    qk, qe = (pk, pe) if q == p else _power_table(q, n, lo, hi)
+    terms = map(mul, map(mul, row, pk), qk[n::-1])
+    if lo == hi:
+        return tuple(terms)
+    probs = list(terms)
     exps = map(add, map(add, shifts, pe), reversed(qe))
     probs[lo:hi] = map(math.ldexp, probs[lo:hi], exps)
     return tuple(probs)
@@ -272,14 +285,21 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     cells of a pair read at most four bases, as many as are kept, and share
     a table wherever ``1 - p`` of one is exactly the other's p.
 
-    Every inner pmf is built, but each distinct one is analyzed once: a
-    mirror cell whose terms are its partner's reversed, bit for bit,
-    carries its partner's report, as the p = 1 cell carries the p = 0 one.
-    Every report field is independent of the order of the outcomes, so
-    those reports are the ones ``analyze`` would give. Any other mirror
-    cell is analyzed on its own, and only then are its terms made a
-    Distribution: the reversal of a valid vector is valid, so that skips
-    no check's outcome. The p = 0.5 cell reads the same reversed, so
+    The p = 0 and p = 1 cells are one sure outcome among n + 1, whose every
+    report field depends on N = n + 1 and the one value 1.0 alone (see
+    indicators), so their one report is taken from those, in O(1) at any
+    n, and no vector of n + 1 values is built: a 2-point sweep takes any n
+    up to ``sys.maxsize - 1``. It is the report ``analyze(degenerate(n +
+    1))`` gives, bit for bit.
+
+    Every inner pmf is built by ``binomial`` or, for a mirror cell, by
+    ``_terms``, but each distinct one is analyzed once: a mirror cell whose
+    terms are its partner's reversed, bit for bit, carries its partner's
+    report. Every report field is independent of the order of the
+    outcomes, so those reports are the ones ``analyze`` would give. Any
+    other mirror cell is analyzed on its own, and only then are its terms
+    made a Distribution: the reversal of a valid vector is valid, so that
+    skips no check's outcome. The p = 0.5 cell reads the same reversed, so
     analyze sums it over one half. On a 5-point grid every pair is
     reversed (a 3-point grid has none but p = 0.5, its own mirror). On
     n = 1..199 and n = 1000, 1007, ..., 1099, 70% of the pairs are
@@ -313,7 +333,8 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     points = []
     for n in ns:
         reports = [None] * p_steps
-        reports[0] = reports[steps] = analyze(binomial(n, grid[0]))
+        # One sure outcome among n + 1, whose report is N's and 1.0's alone.
+        reports[0] = reports[steps] = _report(n + 1, (1.0,), (1.0, 1.0))
         for i in range(1, steps // 2 + 1):
             a = binomial(n, grid[i])
             reports[i] = analyze(a)

@@ -20,6 +20,12 @@ indicators fall into two families:
 D and G are tied together by the duality D * G = N / p_total**2, which
 every report carries as a computed residual.
 
+Every field of a report depends only on N and the multiset of non-zero
+values: not on the order of the outcomes, nor on where the zeros sit. So
+the one-sure-rest-impossible vector of N outcomes has the report of N and
+the single value 1.0 (G = N, D = F = 1, H = 0), which binomial sweeps take
+for their p = 0 and p = 1 cells without building the vector.
+
 Each formula is written once. The views of CV, cv, H, H_rel, F, G and D
 return one field of :func:`analyze`'s report (the same bits) and, like it,
 raise AllImpossible on an all-zero vector. The total, mean, variance,
@@ -429,14 +435,20 @@ def _reads_reversed(probs: tuple[float, ...]) -> bool:
     return True
 
 
-def _exact_fields(dist: Distribution) -> tuple[tuple, dict, float | None]:
+def _exact_fields(
+    n: int, probs: Sequence[float], extremes: tuple[float, float]
+) -> tuple[tuple, dict, float | None]:
     """The entropy's arguments, the report fields the exact sums fix, and N / p_total^2.
 
+    ``probs`` are the values summed, ``extremes`` their ``(min, max)``, and
+    ``n`` is N: ``probs`` may leave out zeros (see the module docstring),
+    so the palindrome split below reads ``len(probs)`` and the fields ``n``.
+
     The first value holds the arguments of :func:`_entropy`: the kernel's
-    non-zero values and None, or for a vector that reads the same reversed,
-    which is summed over its first half, read in place (its exact sums are
-    twice the half's less the middle value's once), the half's non-zero
-    values and the middle value (0.0 for even N).
+    non-zero values and None, or for values that read the same reversed,
+    which are summed over their first half, read in place (their exact
+    sums are twice the half's less the middle value's once), the half's
+    non-zero values and the middle value (0.0 for an even count).
 
     On an all-zero vector N / p_total^2 is None and the fields are the four
     defined there (p_total, p_mean, variance, ref_variance), each 0.0.
@@ -445,14 +457,13 @@ def _exact_fields(dist: Distribution) -> tuple[tuple, dict, float | None]:
     arithmetic, so when a side overflows the float range the defect of the
     exact ratio is 0.
     """
-    n = dist.n
-    probs = dist.probs
-    m = n // 2
+    length = len(probs)
+    m = length // 2
     if probs[0] == probs[-1] and _reads_reversed(probs):
         # The half holds every value of the vector (== treats -0.0 and 0.0
         # alike, and zeros add nothing), so the extremes are the half's too.
-        s, s2, b, nonzero = _moments(_Head(probs, n - m), dist._extremes)
-        mid = probs[m] if n % 2 else 0.0
+        s, s2, b, nonzero = _moments(_Head(probs, length - m), extremes)
+        mid = probs[m] if length % 2 else 0.0
         # The middle value's scaled integer, exactly: ldexp(mid, b) would
         # overflow for a large b, and the value is a whole multiple of 2**-b.
         num, den = mid.as_integer_ratio()
@@ -460,7 +471,7 @@ def _exact_fields(dist: Distribution) -> tuple[tuple, dict, float | None]:
         s = 2 * s - k
         s2 = 2 * s2 - k * k
     else:
-        s, s2, b, nonzero = _moments(probs, dist._extremes)
+        s, s2, b, nonzero = _moments(probs, extremes)
         mid = None
     ss = s * s
     # ss * CV^2 == N^2 * 4**b * variance; >= 0 by Cauchy-Schwarz
@@ -495,12 +506,12 @@ def total_probability(dist: Distribution) -> float:
 
 def mean_probability(dist: Distribution) -> float:
     """Arithmetic mean of the N probabilities, total / N."""
-    return _exact_fields(dist)[1]["p_mean"]
+    return _exact_fields(dist.n, dist.probs, dist._extremes)[1]["p_mean"]
 
 
 def variance(dist: Distribution) -> float:
     """Population variance of the probability values, (1/N) sum p_i^2 - mean^2."""
-    return _exact_fields(dist)[1]["variance"]
+    return _exact_fields(dist.n, dist.probs, dist._extremes)[1]["variance"]
 
 
 def reference_variance(dist: Distribution) -> float:
@@ -509,7 +520,7 @@ def reference_variance(dist: Distribution) -> float:
     Reached in the limit where one probability carries the whole total and
     the rest vanish: p_total^2 * (N - 1) / N^2.
     """
-    return _exact_fields(dist)[1]["ref_variance"]
+    return _exact_fields(dist.n, dist.probs, dist._extremes)[1]["ref_variance"]
 
 
 def coefficient_of_variation(dist: Distribution) -> float:
@@ -608,7 +619,7 @@ def duality_check(dist: Distribution) -> tuple[float, float]:
     side may be 0). When either side overflows the float range, the
     identity is checked on the exact ratio instead.
     """
-    _, fields, rhs = _exact_fields(dist)
+    _, fields, rhs = _exact_fields(dist.n, dist.probs, dist._extremes)
     if rhs is None:
         raise AllImpossible("duality undefined: zero total probability")
     d, g = fields["equiv_number_d"], fields["equiv_number_g"]
@@ -627,8 +638,13 @@ def analyze(dist: Distribution) -> IndicatorReport:
     Raises AllImpossible when every probability is zero, since the
     mean-relative indicators are undefined there.
     """
-    n = dist.n
-    summed, fields, rhs = _exact_fields(dist)
+    return _report(dist.n, dist.probs, dist._extremes)
+
+
+def _report(n: int, probs: Sequence[float], extremes: tuple[float, float]) -> IndicatorReport:
+    """analyze's report of N = ``n`` outcomes whose values summed are
+    ``probs``, with ``extremes`` their ``(min, max)``; see _exact_fields."""
+    summed, fields, rhs = _exact_fields(n, probs, extremes)
     if rhs is None:
         raise AllImpossible("indicators undefined: zero total probability")
     p_total = fields["p_total"]

@@ -417,6 +417,16 @@ def test_sweep_past_float_coefficients(capsys):
     assert abs(Fraction(d_half) - want) <= Fraction(1, 10**11) * want
 
 
+def test_an_endpoint_only_sweep_takes_the_largest_n(capsys):
+    # p = 0 and p = 1 are one sure outcome among n + 1: no vector is built.
+    n = str(sys.maxsize - 1)
+    code, out, err = run(capsys, "binomial-sweep", "--n", n, "--p-steps", "2", "--no-timestamp")
+    assert (code, err) == (0, "")
+    rows = [r.split(",") for r in csv_rows(out)[1:]]
+    assert [row[:2] for row in rows] == [[n, "0"], [n, "1"]]
+    assert all(row[4:7] == ["0", "1", "1"] for row in rows)  # H, F, D
+
+
 @pytest.mark.parametrize(
     "argv",
     [

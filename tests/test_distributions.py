@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -37,7 +38,7 @@ from equivar.errors import (
     ZeroSize,
 )
 from equivar import distributions
-from equivar.indicators import TOL_SUM
+from equivar.indicators import TOL_SUM, _report
 
 from conftest import A64_PROBS
 
@@ -802,14 +803,76 @@ def test_an_n_past_the_row_bound_is_refused_before_any_work(monkeypatch):
 
 
 @given(st.integers(min_value=1, max_value=1100), st.integers(min_value=2, max_value=21))
+@example(1, 2)
 @example(1029, 5)
+@example(1030, 7)
 @example(1030, 11)
 @example(1100, 9)
+@example(1100, 21)
 @settings(max_examples=15, deadline=None)
 def test_every_sweep_cell_is_the_report_of_its_own_pmf(n, p_steps):
     for pt in sweep_binomial([n], p_steps):
         want = analyze(binomial(n, pt.p))
         assert _hex(pt.report) == _hex(want), (n, pt.p)
+
+
+@given(st.integers(min_value=1, max_value=5000))
+@example(1)
+@example(2)
+@example(1030)
+@example(1031)
+@example(4097)
+@settings(max_examples=25, deadline=None)
+def test_the_endpoint_report_is_that_of_the_one_sure_vector(n_outcomes):
+    # A sweep takes its p = 0 and p = 1 report from N and the one value
+    # 1.0, without building the vector; it must be analyze's, bit for bit.
+    got = _report(n_outcomes, (1.0,), (1.0, 1.0))
+    want = analyze(degenerate(n_outcomes))
+    assert got.n_outcomes == want.n_outcomes == n_outcomes
+    assert _hex(got) == _hex(want)
+    assert _hex(analyze(degenerate(n_outcomes, n_outcomes - 1))) == _hex(want)
+    if n_outcomes > 1:
+        points = sweep_binomial([n_outcomes - 1], 2)
+        assert [_hex(pt.report) for pt in points] == [_hex(want)] * 2
+
+
+def test_an_endpoint_only_sweep_takes_any_n():
+    # Each cell is one sure outcome among n + 1, so nothing n + 1 long is
+    # built, and the n check alone bounds n: G = N, D = F = 1, H = 0.
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        points = sweep_binomial([sys.maxsize - 1], 2)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1.0 and peak < 2**20, (seconds, peak)
+    assert [(pt.n, pt.p) for pt in points] == [(sys.maxsize - 1, 0.0), (sys.maxsize - 1, 1.0)]
+    for pt in points:
+        r = pt.report
+        assert r.n_outcomes == sys.maxsize
+        assert r.equiv_number_g == float(sys.maxsize)
+        assert (r.p_total, r.equiv_number_d, r.avg_number_f, r.entropy_bits) == (1.0, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 40, 1030, 1100])
+def test_every_analyzed_inner_cell_is_built_by_binomial(monkeypatch, n):
+    # A traced bench spans distributions.binomial and distributions.analyze
+    # by patching both names, so a sweep must reach every analyzed pmf
+    # through them. On a 5-point grid that is p = 0.25 and 0.5 for each n.
+    args, built = [], []
+
+    def counted(n, p):
+        args.append((n, p))
+        built.append(binomial(n, p))
+        return built[-1]
+
+    monkeypatch.setattr(distributions, "binomial", counted)
+    calls = _count_analyze_calls(monkeypatch)
+    sweep_binomial([n, n], 5)
+    assert args == [(n, 0.25), (n, 0.5)] * 2
+    assert len(calls) == len(built) and all(a is b for a, b in zip(calls, built))
 
 
 def _count_analyze_calls(monkeypatch):
@@ -833,7 +896,7 @@ def _unreversed_pairs(n, p_steps):
 
 
 @pytest.mark.parametrize("n", [1, 40, 1030, 1100])
-@pytest.mark.parametrize("p_steps, calls_per_n", [(2, 1), (3, 2), (5, 3)])
+@pytest.mark.parametrize("p_steps, calls_per_n", [(2, 0), (3, 1), (5, 2)])
 def test_a_reversed_mirror_pmf_is_not_analyzed_again(monkeypatch, n, p_steps, calls_per_n):
     assert _unreversed_pairs(n, p_steps) == 0
     calls = _count_analyze_calls(monkeypatch)
@@ -851,7 +914,7 @@ def test_each_unreversed_mirror_pmf_is_analyzed_once_more(monkeypatch, n, p_step
     assert extra > 0
     calls = _count_analyze_calls(monkeypatch)
     sweep_binomial([n], p_steps)
-    assert len(calls) == 1 + (p_steps - 1) // 2 + extra
+    assert len(calls) == (p_steps - 1) // 2 + extra
 
 
 def test_a_mirror_pmf_one_bit_off_takes_its_own_report(monkeypatch):
@@ -874,7 +937,7 @@ def test_a_mirror_pmf_one_bit_off_takes_its_own_report(monkeypatch):
     monkeypatch.setattr(distributions, "_terms", perturbed)
     calls = _count_analyze_calls(monkeypatch)
     points = sweep_binomial([n], 5)
-    assert len(calls) == 4
+    assert len(calls) == 3
     partner, mirror = points[1].report, points[3].report
     want = analyze(Distribution(perturbed(n, 0.75)))
     assert _hex(mirror) == _hex(want)
@@ -883,9 +946,9 @@ def test_a_mirror_pmf_one_bit_off_takes_its_own_report(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 40, 1030, 1100])
 def test_a_sweep_validates_only_the_cells_it_analyzes(monkeypatch, n):
-    # On a 5-point grid the p = 0, 0.25 and 0.5 cells are built and analyzed;
+    # On a 5-point grid the p = 0.25 and 0.5 cells are built and analyzed;
     # p = 0.75 is p = 0.25 reversed, so its terms never become a
-    # Distribution, and p = 1 is never built.
+    # Distribution, and the p = 0 and p = 1 cells are never built.
     validate = Distribution.__post_init__
     calls = []
 
@@ -895,4 +958,4 @@ def test_a_sweep_validates_only_the_cells_it_analyzes(monkeypatch, n):
 
     monkeypatch.setattr(Distribution, "__post_init__", counted)
     sweep_binomial([n, n], 5)
-    assert len(calls) == 2 * 3
+    assert len(calls) == 2 * 2
