@@ -13,7 +13,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import add, mul
 
 from .errors import (
@@ -87,9 +87,8 @@ def degenerate(n: int, sure_index: int = 0) -> Distribution:
         raise IndexOutOfRange(f"need an integer sure_index, got {sure_index!r}") from None
     if not 0 <= sure_index < n:
         raise IndexOutOfRange(f"sure_index {sure_index} outside [0, {n})")
-    probs = [0.0] * n
-    probs[sure_index] = 1.0
-    return Distribution(probs)
+    # One tuple, which Distribution reads in place.
+    return Distribution((0.0,) * sure_index + (1.0,) + (0.0,) * (n - sure_index - 1))
 
 
 # Only _table (_BASES_KEPT * 12 = 48 tables) and _coefficients (one row)
@@ -112,6 +111,11 @@ _SWEEP_MAX_POINTS = 1 << 20
 # 2**20. A larger n would run for hours before it answered.
 _BINOMIAL_MAX_N = 1 << 20
 
+# The least integer float() refuses: halfway between the largest float,
+# 2**1024 - 2**971, and 2**1024, where round-half-to-even goes up (the
+# largest float's significand is odd), and so past the range.
+_FLOAT_LIMIT = (1 << 1024) - (1 << 970)
+
 
 # x**k depends on the base x and on k alone, so the plain powers are cached
 # per base and size, not per n, and a size is the power of two at or above
@@ -119,35 +123,28 @@ _BINOMIAL_MAX_N = 1 << 20
 # 1030 powers when n has no run (n <= 1029), and lo <= 500 when it has one
 # (lo falls from 500 at n = 1030 as n grows). So a size is at most 2**11, a
 # base has at most 12 sizes (2**0..2**11), and the cache holds at most 48
-# tables of <= 2048 powers, about 3 MB.
+# tables of <= 2048 powers, about 3 MB. The powers on a run and above it
+# move with n, so _terms forms them per call (see _run_powers).
 @lru_cache(maxsize=_BASES_KEPT * 12)
 def _table(x: float, size: int) -> tuple[float, ...]:
     """x**k for k = 0..size - 1."""
     return tuple(map(pow, repeat(x), range(size)))
 
 
-def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[Sequence[float], Sequence[int]]:
-    """x**k for k = 0..n, scaled by a power of two on the run lo..hi - 1.
+def _run_powers(x: float, lo: int, hi: int) -> tuple[list[float], list[int]]:
+    """x**k for k on the run lo..hi - 1, each scaled by a power of two.
 
-    Returns ``(powers, exps)``: on the run, the k whose coefficients are
-    past the float range (see _coefficients), ``powers[k] * 2**exps[k - lo]``
-    is x**k as a loop over chunks of 1000 powers rounds it; elsewhere
-    ``powers[k]`` is x**k. With no run (lo == hi), ``powers`` is the cached
-    table of base x itself (see _table), not a copy, so it may hold more
-    than n + 1 powers; a caller reads the first n + 1. Otherwise it is a
-    list of n + 1, whose powers below the run are read from that table and
-    the rest formed here, in C-level passes. x's mantissa m lies in
-    [0.5, 1), so m**b never underflows for b <= 1000; ``head`` and
-    ``shift`` are the loop's renormalized mantissa and summed exponent
-    after each full chunk, and k = a + b takes ``head * m**b`` from chunk
-    a's.
+    Returns ``(powers, exps)``: ``powers[i] * 2**exps[i]`` is x**(lo + i)
+    as a loop over chunks of 1000 powers rounds it. The run is the k whose
+    coefficients are past the float range (see _coefficients); _terms reads
+    the powers below it from _table and forms those above it with pow. x's
+    mantissa m lies in [0.5, 1), so m**b never underflows for b <= 1000;
+    ``head`` and ``shift`` are the loop's renormalized mantissa and summed
+    exponent after each full chunk, and k = a + b takes ``head * m**b``
+    from chunk a's, in C-level passes.
     """
-    stop = n + 1 if lo == hi else lo
-    table = _table(x, 1 << (stop - 1).bit_length())
-    if lo == hi:
-        return table, ()
     m, e = math.frexp(x)
-    powers = list(table[:lo])
+    powers: list[float] = []
     exps: list[int] = []
     head, shift = 1.0, 0
     for a in range(0, hi, 1000):
@@ -163,7 +160,6 @@ def _power_table(x: float, n: int, lo: int, hi: int) -> tuple[Sequence[float], S
         exps += range(base + e * bs.start, base + e * bs.stop, e) if e else repeat(base, len(bs))
         head, r = math.frexp(head * m**1000)
         shift += r
-    powers += map(pow, repeat(x), range(hi, n + 1))
     return powers, exps
 
 
@@ -172,13 +168,14 @@ def _coefficients(n: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """The row C(n, 0..n) as floats, and the shifts of those past the float range.
 
     Returns ``(row, shifts)``. ``row[k]`` is C(n, k) rounded once to a
-    float, and past the float range it is stored scaled by 2**-shift. The k
-    past the range (only for n >= 1030) form one run lo..n - lo around the
-    centre, and ``shifts`` holds one shift per k of the run. So a product
-    with ``row[k]`` rounds as one with the exact (scaled) integer does
-    (int * float converts the int with correct rounding), and the row holds
-    O(n) small numbers, not the O(n^2) bits of the exact integers. The exact
-    integer is carried from one k to the next
+    float, and past the float range (at or above _FLOAT_LIMIT, which a
+    comparison tells without a float() that raises) it is stored scaled by
+    2**-shift. The k past the range (only for n >= 1030) form one run
+    lo..n - lo around the centre, and ``shifts`` holds one shift per k of
+    the run. So a product with ``row[k]`` rounds as one with the exact
+    (scaled) integer does (int * float converts the int with correct
+    rounding), and the row holds O(n) small numbers, not the O(n^2) bits of
+    the exact integers. The exact integer is carried from one k to the next
     (C(n, k+1) = C(n, k) * (n - k) // (k + 1)) over the first half of the
     row, and the second half mirrors it.
     """
@@ -186,9 +183,9 @@ def _coefficients(n: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
     shifts: list[int] = []
     c = 1
     for k in range(n // 2 + 1):
-        try:
+        if c < _FLOAT_LIMIT:
             half.append(float(c))
-        except OverflowError:
+        else:
             # The cut drops s >= 960 bits, and at least one of them is set:
             # by Kummer's theorem C(n, k) has at most log2(n) trailing zero
             # bits. So ORing in 1 is the sticky bit that makes the two
@@ -212,17 +209,19 @@ def binomial(n: int, p: float) -> Distribution:
     """Binomial pmf B(n, p) over k = 0..n as a complete distribution.
 
     p may be any real number; it is read as ``float(p)``. Each term is
-    ``C(n, k) * p**k * q**(n - k)``, evaluated in that order in one product
-    pass over the coefficient row (cached for the last n; see _coefficients)
-    and the powers of p and of q, read from tables cached per base and
-    length (see _table), so a later call on the same base, with this n or a
-    nearby one, and the mirror cell 1 - p of a sweep reuse them. For
-    n <= 1029 every coefficient fits a float, and ``float(C(n, k)) * x``
-    rounds exactly as ``C(n, k) * x`` does, so every bit equals that of
-    0.1.0, which called math.comb per term. From n = 1030 on, the k whose
+    ``C(n, k) * p**k * q**(n - k)``, evaluated in that order in product
+    passes over the coefficient row (cached for the last n; see
+    _coefficients) and the powers of p and of q (see _terms). The powers
+    below any run are read from tables cached per base and length (see
+    _table), so a later call on the same base, with this n or a nearby
+    one, and the mirror cell 1 - p of a sweep reuse them. For n <= 1029
+    every coefficient fits a float, and ``float(C(n, k)) * x`` rounds
+    exactly as ``C(n, k) * x`` does, so every bit equals that of 0.1.0,
+    which called math.comb per term. From n = 1030 on, the k whose
     coefficients are past the float range form one run around the centre:
-    there each power is formed per call, scaled by a power of two, and
-    ``math.ldexp`` applies the three factors' summed exponent. Every term at least 2**-52 times the
+    the powers on the run and above it are formed per call, those on the
+    run scaled by a power of two (see _run_powers), and ``math.ldexp``
+    applies the three factors' summed exponent. Every term at least 2**-52 times the
     largest is within 4 ulp of its exact value for the float q = 1 - p up
     to n = 2000 (tests/test_distributions.py checks n = 1030, 1100 and
     2000). The error grows with n beyond that: at p = 0.3 it is 11 ulp at
@@ -252,26 +251,38 @@ def _terms(n: int, p: float) -> tuple[float, ...]:
     """The pmf of B(n, p) as a tuple of floats, for n and p as binomial
     reads them and p neither 1 nor +0.0; see binomial for how.
 
-    The terms are formed in one pass over the row (n + 1 long, so it stops
-    the pass where a power table runs longer) and the reversed first n + 1
-    powers of q, the one copy made; with no run that pass forms the tuple
-    itself. At p = 0.5, where q = 1 - p is p, one power table serves both.
-    binomial validates the terms as a Distribution; sweep_binomial does so
-    only for a mirror cell it analyzes.
+    With no run the terms are formed in one pass over the row and the
+    cached power tables of p and of q (see _table), reversed for q: the
+    row is n + 1 long, so it stops the pass where a table runs longer. With
+    a run lo..hi - 1 (see _coefficients) the tuple is built from three
+    segments in turn, each one pass: k < lo reads p's table and q's powers
+    above the run, the run reads both bases' scaled powers (see _run_powers)
+    and applies the summed exponents with one ldexp per term, and k >= hi
+    reads p's powers above the run and q's table. No list of n + 1 terms or
+    powers is made. At p = 0.5, where q = 1 - p is p, one table, one run and
+    one set of powers above it serve both. binomial validates the terms as
+    a Distribution; sweep_binomial does so only for a mirror cell it
+    analyzes.
     """
     row, shifts = _coefficients(n)
     lo = (n + 1 - len(shifts)) // 2
     hi = lo + len(shifts)
     q = 1.0 - p
-    pk, pe = _power_table(p, n, lo, hi)
-    qk, qe = (pk, pe) if q == p else _power_table(q, n, lo, hi)
-    terms = map(mul, map(mul, row, pk), qk[n::-1])
+    size = 1 << (n if lo == hi else lo - 1).bit_length()
+    pk = _table(p, size)
+    qk = pk if q == p else _table(q, size)
     if lo == hi:
-        return tuple(terms)
-    probs = list(terms)
+        return tuple(map(mul, map(mul, row, pk), qk[n::-1]))
+    pr, pe = _run_powers(p, lo, hi)
+    pt = list(map(pow, repeat(p), range(hi, n + 1)))
+    qr, qe = (pr, pe) if q == p else _run_powers(q, lo, hi)
+    qt = pt if q == p else list(map(pow, repeat(q), range(hi, n + 1)))
+    r = iter(row)  # the segments read the row in turn, each its own stretch
+    below = map(mul, map(mul, islice(r, lo), pk), reversed(qt))
+    run = map(mul, map(mul, islice(r, hi - lo), pr), reversed(qr))
     exps = map(add, map(add, shifts, pe), reversed(qe))
-    probs[lo:hi] = map(math.ldexp, probs[lo:hi], exps)
-    return tuple(probs)
+    above = map(mul, map(mul, r, pt), qk[lo - 1 :: -1])
+    return tuple(chain(below, map(math.ldexp, run, exps), above))
 
 
 def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:

@@ -139,7 +139,7 @@ W = 64
 _CHUNK_VALUES = 1 << 10
 
 
-def _first_non_number(values: tuple) -> EquivarError:
+def _first_non_number(values: Sequence) -> EquivarError:
     """The error for probabilities that float() cannot all read, naming the first."""
     for i, value in enumerate(values):
         try:
@@ -181,10 +181,10 @@ class Distribution:
     Raises a :class:`~equivar.errors.ValidationFailure` subclass at
     construction when any invariant is violated: at least one outcome, every
     probability finite and in [0, 1], the total at most 1 + TOL_SUM, and
-    labels (when given) matching the probabilities in count. A probability
-    that ``float()`` cannot read raises
-    :class:`~equivar.errors.NonNumericProbability` naming its index, as the
-    file readers do.
+    labels (when given) matching the probabilities in count. A list or
+    tuple is read in place and any other iterable once, so a value that
+    ``float()`` cannot read raises :class:`~equivar.errors.NonNumericProbability`
+    naming its index, as the file readers do, even from a generator.
     """
 
     # _extremes is (min(probs), max(probs)), kept from validation so that
@@ -202,8 +202,8 @@ class Distribution:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        try:
-            values = tuple(self.probs)  # read once: a generator's bad value can be named
+        try:  # read once (see the class docstring)
+            values = self.probs if isinstance(self.probs, (list, tuple)) else tuple(self.probs)
         except TypeError:
             raise ValidationFailure(
                 f"probabilities must be an iterable of numbers, got {self.probs!r}"

@@ -232,6 +232,45 @@ def test_degenerate():
     assert degenerate(3, True).probs == (0.0, 1.0, 0.0)  # anything operator.index takes
 
 
+def _peak_mib(make):
+    """make()'s result and the tracemalloc peak of the call, in MiB."""
+    tracemalloc.start()
+    try:
+        out = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / 2**20
+
+
+def test_a_list_of_probabilities_is_read_in_place():
+    # The tuple of 10**6 floats takes 7.6 MiB; a copy of the list made
+    # before float() reads it would take as much again (15.9 MiB in all).
+    values = [1e-6] * 10**6
+    dist, peak = _peak_mib(lambda: from_probabilities(values))
+    assert dist.probs == tuple(values)
+    assert peak < 10, peak
+
+
+@pytest.mark.parametrize(
+    "make, sure",
+    [
+        (lambda: binomial(10**6, 0.0), 0),
+        (lambda: degenerate(10**6, 0), 0),
+        (lambda: degenerate(10**6, 10**6 // 2), 10**6 // 2),
+        (lambda: degenerate(10**6, 10**6 - 1), 10**6 - 1),
+    ],
+    ids=["binomial", "first", "middle", "last"],
+)
+def test_a_one_sure_vector_is_built_without_a_spare_copy(make, sure):
+    # One vector of ~10**6 floats is 7.6 MiB: the result and the two halves
+    # its tuple is joined from peak near 16 MiB, and one more copy of the
+    # vector (a list, or a tuple of it) would pass 23 MiB.
+    dist, peak = _peak_mib(make)
+    assert dist.probs[sure] == 1.0 and dist.probs.count(0.0) == dist.n - 1
+    assert peak < 17, peak
+
+
 # ----------------------------------------------------------------------
 # binomial
 
@@ -517,6 +556,10 @@ def _big_term(c, p, k, q, m):
 @example(2003, 0.5)
 @example(2003, -0.0)
 @example(1100, 1e-310)  # a subnormal p, whose run powers underflow
+@example(1031, 0.3)  # an odd n: the run 492..539 has an even length
+@example(1100, 0.25)  # the run 388..712, with p's and q's segments swapped
+@example(1100, 0.75)
+@example(2049, 0.5)  # the run 227..1822 across k = 1000, one run for both bases
 @settings(max_examples=10, deadline=None)
 def test_binomial_past_the_float_range_keeps_its_bits(n, p):
     got = binomial(n, p).probs
@@ -561,6 +604,32 @@ def test_run_entries_are_the_sticky_cut_of_the_exact_coefficient(n, offset):
     c, s = math.comb(n, k), shifts[k - lo]
     assert s == c.bit_length() - 64 and s >= 960
     assert row[k] == float((c >> s) | bool(c & ((1 << s) - 1))), (n, k)
+
+
+def test_the_float_limit_is_the_least_integer_float_refuses():
+    limit = distributions._FLOAT_LIMIT
+    assert math.isfinite(float(limit - 1))
+    with pytest.raises(OverflowError):
+        float(limit)
+
+
+@pytest.mark.parametrize("n", [1029, 1030, 1031, 1073, 2003])
+def test_coefficients_past_the_limit_are_the_ones_float_refuses(n):
+    # The reference probes each exact coefficient with float() itself.
+    row, shifts = [], []
+    for k in range(n + 1):
+        c = math.comb(n, k)
+        try:
+            row.append(float(c))
+        except OverflowError:
+            s = c.bit_length() - 64
+            row.append(float((c >> s) | 1))
+            shifts.append(s)
+    distributions._coefficients.cache_clear()
+    got_row, got_shifts = distributions._coefficients(n)
+    assert [x.hex() for x in got_row] == [x.hex() for x in row]
+    assert list(got_shifts) == shifts
+    assert bool(shifts) == (n >= 1030)
 
 
 # ----------------------------------------------------------------------
