@@ -13,8 +13,8 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import chain, islice, repeat
-from operator import add, mul
+from itertools import repeat
+from operator import mul
 
 from .errors import (
     AllZeroCounts,
@@ -105,102 +105,50 @@ _BASES_KEPT = 4
 # before it ends.
 _SWEEP_MAX_POINTS = 1 << 20
 
-# The largest n whose coefficient row is built (every p but 1 and +0.0).
-# The row carries the exact C(n, k), so its cost grows as n**2: 1.0 s at
-# n = 10**5 and 3.9 s at 2*10**5 (Python 3.11, 2 CPUs), about 2 minutes at
-# 2**20. A larger n would run for hours before it answered.
+# The largest n of an inner cell (every p but 1 and +0.0). Its pmf takes
+# O(n) time and memory: at 2**20, 0.5 s (p = 0.5) to 1.2 s (p = 0.3) and a
+# 17 MiB peak for an 8 MiB result (tracemalloc; Python 3.11, 2 CPUs), so a
+# cell answers in about a second. At 2**30 one would take some 20 minutes
+# and 16 GiB.
 _BINOMIAL_MAX_N = 1 << 20
 
-# The least integer float() refuses: halfway between the largest float,
-# 2**1024 - 2**971, and 2**1024, where round-half-to-even goes up (the
-# largest float's significand is odd), and so past the range.
-_FLOAT_LIMIT = (1 << 1024) - (1 << 970)
+# The largest n whose every coefficient C(n, k) is a float: C(1030, 515)
+# is past the float range. Up to it a pmf keeps 0.1.0's bits.
+_ROW_MAX_N = 1029
 
 
 # x**k depends on the base x and on k alone, so the plain powers are cached
 # per base and size, not per n, and a size is the power of two at or above
-# the count a call reads, so nearby n share a table. A call reads n + 1 <=
-# 1030 powers when n has no run (n <= 1029), and lo <= 500 when it has one
-# (lo falls from 500 at n = 1030 as n grows). So a size is at most 2**11, a
-# base has at most 12 sizes (2**0..2**11), and the cache holds at most 48
-# tables of <= 2048 powers, about 3 MB. The powers on a run and above it
-# move with n, so _terms forms them per call (see _run_powers).
+# the n + 1 <= 1030 powers a call reads, so nearby n share a table. So a
+# size is at most 2**11, a base has at most 12 sizes (2**0..2**11), and the
+# cache holds at most 48 tables of <= 2048 powers, about 3 MB.
 @lru_cache(maxsize=_BASES_KEPT * 12)
 def _table(x: float, size: int) -> tuple[float, ...]:
     """x**k for k = 0..size - 1."""
     return tuple(map(pow, repeat(x), range(size)))
 
 
-def _run_powers(x: float, lo: int, hi: int) -> tuple[list[float], list[int]]:
-    """x**k for k on the run lo..hi - 1, each scaled by a power of two.
-
-    Returns ``(powers, exps)``: ``powers[i] * 2**exps[i]`` is x**(lo + i)
-    as a loop over chunks of 1000 powers rounds it. The run is the k whose
-    coefficients are past the float range (see _coefficients); _terms reads
-    the powers below it from _table and forms those above it with pow. x's
-    mantissa m lies in [0.5, 1), so m**b never underflows for b <= 1000;
-    ``head`` and ``shift`` are the loop's renormalized mantissa and summed
-    exponent after each full chunk, and k = a + b takes ``head * m**b``
-    from chunk a's, in C-level passes.
-    """
-    m, e = math.frexp(x)
-    powers: list[float] = []
-    exps: list[int] = []
-    head, shift = 1.0, 0
-    for a in range(0, hi, 1000):
-        bs = range(max(lo - a, 0), min(hi - a, 1000))
-        # Scaled by 2**470, each power is 0 (x = -0.0) or in [2**-531,
-        # 2**470], so with a row entry in [2**63, 2**64] each product
-        # (row * pv) * qv of _terms is 0 or in [2**-999, 2**1004]: every
-        # intermediate is a normal float, so each multiply rounds the
-        # significand that frexp-normalized factors would give, and the one
-        # ldexp in _terms restores the powers of two.
-        powers += map(mul, repeat(math.ldexp(head, 470)), map(pow, repeat(m), bs))
-        base = e * a + shift - 470
-        exps += range(base + e * bs.start, base + e * bs.stop, e) if e else repeat(base, len(bs))
-        head, r = math.frexp(head * m**1000)
-        shift += r
-    return powers, exps
-
-
 @lru_cache(maxsize=1)
-def _coefficients(n: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """The row C(n, 0..n) as floats, and the shifts of those past the float range.
+def _coefficients(n: int) -> tuple[float, ...]:
+    """The row C(n, 0..n) for n <= _ROW_MAX_N, each rounded once to a float.
 
-    Returns ``(row, shifts)``. ``row[k]`` is C(n, k) rounded once to a
-    float, and past the float range (at or above _FLOAT_LIMIT, which a
-    comparison tells without a float() that raises) it is stored scaled by
-    2**-shift. The k past the range (only for n >= 1030) form one run
-    lo..n - lo around the centre, and ``shifts`` holds one shift per k of
-    the run. So a product with ``row[k]`` rounds as one with the exact
-    (scaled) integer does (int * float converts the int with correct
-    rounding), and the row holds O(n) small numbers, not the O(n^2) bits of
-    the exact integers. The exact integer is carried from one k to the next
-    (C(n, k+1) = C(n, k) * (n - k) // (k + 1)) over the first half of the
-    row, and the second half mirrors it.
+    A product with ``row[k]`` rounds as one with the exact integer does
+    (int * float converts the int with correct rounding). The exact integer
+    is carried from one k to the next (C(n, k+1) = C(n, k) * (n - k) //
+    (k + 1)) over the first half of the row, and the second half mirrors it.
     """
     half: list[float] = []
-    shifts: list[int] = []
     c = 1
     for k in range(n // 2 + 1):
-        if c < _FLOAT_LIMIT:
-            half.append(float(c))
-        else:
-            # The cut drops s >= 960 bits, and at least one of them is set:
-            # by Kummer's theorem C(n, k) has at most log2(n) trailing zero
-            # bits. So ORing in 1 is the sticky bit that makes the two
-            # roundings (to 64 bits, then to 53) round as one.
-            s = c.bit_length() - 64
-            half.append(float((c >> s) | 1))
-            shifts.append(s)
+        half.append(float(c))
         c = c * (n - k) // (k + 1)
     # For even n the centre k = n / 2 ends each half and is not repeated.
-    return tuple(half + half[n % 2 - 2 :: -1]), tuple(shifts + shifts[n % 2 - 2 :: -1])
+    return tuple(half + half[n % 2 - 2 :: -1])
 
 
 def _row_bound(n: int) -> None:
-    """Refuse, with ParameterOutOfRange, an n whose coefficient row is past
-    the work bound ``_BINOMIAL_MAX_N``."""
+    """Refuse, with ParameterOutOfRange, an n past the work bound
+    ``_BINOMIAL_MAX_N``."""
     if n > _BINOMIAL_MAX_N:
         raise ParameterOutOfRange(f"need n <= {_BINOMIAL_MAX_N} when 0 < p < 1, got {n}")
 
@@ -208,35 +156,27 @@ def _row_bound(n: int) -> None:
 def binomial(n: int, p: float) -> Distribution:
     """Binomial pmf B(n, p) over k = 0..n as a complete distribution.
 
-    p may be any real number; it is read as ``float(p)``. Each term is
-    ``C(n, k) * p**k * q**(n - k)``, evaluated in that order in product
-    passes over the coefficient row (cached for the last n; see
-    _coefficients) and the powers of p and of q (see _terms). The powers
-    below any run are read from tables cached per base and length (see
-    _table), so a later call on the same base, with this n or a nearby
-    one, and the mirror cell 1 - p of a sweep reuse them. For n <= 1029
-    every coefficient fits a float, and ``float(C(n, k)) * x`` rounds
+    p may be any real number; it is read as ``float(p)``. Up to n = 1029
+    each term is ``C(n, k) * p**k * q**(n - k)`` with the float q = 1 - p,
+    evaluated in that order in product passes over the coefficient row
+    (cached for the last n; see _coefficients) and the powers of p and of q
+    (read from tables cached per base and length; see _table). Every
+    coefficient there fits a float, and ``float(C(n, k)) * x`` rounds
     exactly as ``C(n, k) * x`` does, so every bit equals that of 0.1.0,
-    which called math.comb per term. From n = 1030 on, the k whose
-    coefficients are past the float range form one run around the centre:
-    the powers on the run and above it are formed per call, those on the
-    run scaled by a power of two (see _run_powers), and ``math.ldexp``
-    applies the three factors' summed exponent. Every term at least 2**-52 times the
-    largest is within 4 ulp of its exact value for the float q = 1 - p up
-    to n = 2000 (tests/test_distributions.py checks n = 1030, 1100 and
-    2000). The error grows with n beyond that: at p = 0.3 it is 11 ulp at
-    n = 2*10**4 (checked there too) and measured 45 ulp at 10**5. Terms
-    far below the mode may lose bits when p**k or q**(n - k) underflows, as
-    in 0.1.0. The p = 1 and p = +0.0 endpoints are one sure outcome, built
-    in closed form as :func:`degenerate` (the same bits the terms give);
-    p = -0.0 takes the general path, whose odd-k terms are -0.0 as in
-    0.1.0.
+    which called math.comb per term; so does a term far below the mode
+    that is lost when p**k or q**(n - k) underflows. From n = 1030 on each
+    term is the exact B(n, p) of the float p, whose q = 1 - p is taken
+    exactly, rounded once to the nearest float, subnormals and zeros
+    included (see _terms). The p = 1 and p = +0.0 endpoints are one sure
+    outcome, built in closed form as :func:`degenerate` (the same bits the
+    terms give). p = -0.0 takes the general path: up to n = 1029 its
+    odd-k terms are -0.0, as in 0.1.0, and from n = 1030 on it is the
+    exact B(n, 0), one sure outcome with +0.0 elsewhere.
 
     At the endpoints the n check takes any n >= 1 up to ``sys.maxsize -
     1``, but the vector still holds n + 1 floats, so memory bounds n there
     (a sweep's endpoint cells build no vector; see sweep_binomial). Every
-    other p builds the coefficient row, whose cost grows as n**2, so there
-    an n past ``_BINOMIAL_MAX_N`` (2**20, about 2 minutes of row) raises
+    other p refuses an n past ``_BINOMIAL_MAX_N`` (2**20) with
     ParameterOutOfRange before any work is done.
     """
     n = _integer(n, "n", 1, ZeroSize, sys.maxsize - 1)  # n + 1 outcomes
@@ -247,42 +187,66 @@ def binomial(n: int, p: float) -> Distribution:
     return Distribution(_terms(n, p))
 
 
+def _cut(t: int, e: int) -> tuple[int, int]:
+    """t * 2**e with t truncated to its top 129 bits, the rest moved into e."""
+    s = t.bit_length() - 129
+    return (t >> s, e + s) if s > 0 else (t, e)
+
+
 def _terms(n: int, p: float) -> tuple[float, ...]:
     """The pmf of B(n, p) as a tuple of floats, for n and p as binomial
-    reads them and p neither 1 nor +0.0; see binomial for how.
+    reads them and p neither 1 nor +0.0; see binomial for which bits.
 
-    With no run the terms are formed in one pass over the row and the
+    Up to n = 1029 the terms are formed in one pass over the row and the
     cached power tables of p and of q (see _table), reversed for q: the
-    row is n + 1 long, so it stops the pass where a table runs longer. With
-    a run lo..hi - 1 (see _coefficients) the tuple is built from three
-    segments in turn, each one pass: k < lo reads p's table and q's powers
-    above the run, the run reads both bases' scaled powers (see _run_powers)
-    and applies the summed exponents with one ldexp per term, and k >= hi
-    reads p's powers above the run and q's table. No list of n + 1 terms or
-    powers is made. At p = 0.5, where q = 1 - p is p, one table, one run and
-    one set of powers above it serve both. binomial validates the terms as
-    a Distribution; sweep_binomial does so only for a mirror cell it
-    analyzes.
+    row is n + 1 long, so it stops the pass where a table runs longer. At
+    p = 0.5, where q = 1 - p is p, one table serves both.
+
+    From n = 1030 on the terms come from one recurrence in integers: p is
+    a / 2**alpha exactly, so the exact q is b / 2**alpha with b = 2**alpha
+    - a, q**n is b**n / 2**(alpha * n) by square and multiply, and
+    t(k + 1) = t(k) * (n - k) * a / ((k + 1) * b). Each value is an integer
+    of 129 or 130 bits times a power of two kept apart, truncated at each
+    cut and floor division, so it lies below the exact term by less than
+    3n * 2**-128 of it. Each term is then rounded once: ``float(t)`` rounds
+    t correctly (half to even), so ``ldexp`` gives a normal result; a
+    subnormal one comes from int / int, also correctly rounded, and a term
+    below half the least subnormal is 0.0. So a term takes the exact
+    term's float unless that lies within 3n * 2**-128 of it above a
+    midpoint between two floats. Only p = 0.5, whose a = b = 1, has terms
+    on a midpoint (C(n, k) / 2**n; k = 7 at n = 1040 is one), and there
+    the carry is exact while C(n, k) < 2**129, which holds at every one.
+    At p = 0.5 the pmf is a palindrome, so its first half is mirrored.
+
+    binomial validates the terms as a Distribution; sweep_binomial does so
+    only for a mirror cell it analyzes.
     """
-    row, shifts = _coefficients(n)
-    lo = (n + 1 - len(shifts)) // 2
-    hi = lo + len(shifts)
-    q = 1.0 - p
-    size = 1 << (n if lo == hi else lo - 1).bit_length()
-    pk = _table(p, size)
-    qk = pk if q == p else _table(q, size)
-    if lo == hi:
-        return tuple(map(mul, map(mul, row, pk), qk[n::-1]))
-    pr, pe = _run_powers(p, lo, hi)
-    pt = list(map(pow, repeat(p), range(hi, n + 1)))
-    qr, qe = (pr, pe) if q == p else _run_powers(q, lo, hi)
-    qt = pt if q == p else list(map(pow, repeat(q), range(hi, n + 1)))
-    r = iter(row)  # the segments read the row in turn, each its own stretch
-    below = map(mul, map(mul, islice(r, lo), pk), reversed(qt))
-    run = map(mul, map(mul, islice(r, hi - lo), pr), reversed(qr))
-    exps = map(add, map(add, shifts, pe), reversed(qe))
-    above = map(mul, map(mul, r, pt), qk[lo - 1 :: -1])
-    return tuple(chain(below, map(math.ldexp, run, exps), above))
+    if n <= _ROW_MAX_N:
+        q, size = 1.0 - p, 1 << n.bit_length()
+        pk = _table(p, size)
+        qk = pk if q == p else _table(q, size)
+        return tuple(map(mul, map(mul, _coefficients(n), pk), qk[n::-1]))
+    a, den = p.as_integer_ratio()
+    alpha = den.bit_length() - 1
+    b = den - a
+    t, e, x, ex, m = 1, -alpha * n, b, 0, n
+    while m:
+        if m & 1:
+            t, e = _cut(t * x, e + ex)
+        x, ex = _cut(x * x, 2 * ex)
+        m >>= 1
+    ldexp = math.ldexp
+    terms: list[float] = []
+    append = terms.append
+    for k in range(n // 2 + 1 if a == b else n + 1):
+        top = t.bit_length() + e  # t * 2**e lies in [2**(top - 1), 2**top)
+        append(ldexp(float(t), e) if top > -1022 else t / (1 << -e) if top > -1075 else 0.0)
+        # The quotient has 129 or 130 bits: its dividend has 129 more than div.
+        num, div = t * (n - k) * a, (k + 1) * b
+        s = 129 + div.bit_length() - num.bit_length()
+        t = (num << s) // div if s >= 0 else (num >> -s) // div
+        e -= s
+    return tuple(terms + terms[n % 2 - 2 :: -1] if a == b else terms)
 
 
 def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
@@ -307,21 +271,22 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     ``_terms``, but each distinct one is analyzed once: a mirror cell whose
     terms are its partner's reversed, bit for bit, carries its partner's
     report. Every report field is independent of the order of the
-    outcomes, so those reports are the ones ``analyze`` would give. Any
-    other mirror cell is analyzed on its own, and only then are its terms
-    made a Distribution: the reversal of a valid vector is valid, so that
-    skips no check's outcome. The p = 0.5 cell reads the same reversed, so
-    analyze sums it over one half. On a 5-point grid every pair is
-    reversed (a 3-point grid has none but p = 0.5, its own mirror). On
-    n = 1..199 and n = 1000, 1007, ..., 1099, 70% of the pairs are
-    reversed at 9 points, 12% at 21, 2.5% at 101, and almost none at 7 or
-    11.
+    outcomes, so those reports are the ones ``analyze`` would give. Up to
+    n = 1029 the mirror cell's terms are built and compared; past it each
+    term is the exact B(n, p) rounded once, so a mirror cell p' whose
+    ``1.0 - p'`` is its partner's p is that reversal and is not built.
+    Any other mirror cell is analyzed on its own, and only then are its
+    terms made a Distribution: the reversal of a valid vector is valid, so
+    that skips no check's outcome. The p = 0.5 cell reads the same
+    reversed, so analyze sums it over one half. On a 5-point grid every
+    pair is reversed (a 3-point grid has none but p = 0.5, its own
+    mirror). On n = 1..199 and n = 1000, 1007, ..., 1099, 71% of the pairs
+    are reversed at 9 points, 13% at 21, 4% at 101, 2% at 11 and none at 7.
 
     A sweep of more than ``_SWEEP_MAX_POINTS`` cells (2**20, about 0.56 GB
     of result at ~530 bytes a cell) raises ParameterOutOfRange before any
     cell is built, and so does an n past ``_BINOMIAL_MAX_N`` (2**20) when
-    p_steps >= 3: its inner cells would build a coefficient row, whose cost
-    grows as n**2 (see binomial).
+    p_steps >= 3 (see binomial).
     """
     p_steps = _integer(p_steps, "p_steps", 2, most=sys.maxsize)
     # Every n is read before any cell is built, so a bad one costs no work.
@@ -351,7 +316,13 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
             reports[i] = analyze(a)
             if i == steps - i:  # p = 0.5 is its own mirror
                 continue
-            b = _terms(n, grid[steps - i])
+            mirror = grid[steps - i]
+            # Past n = 1029 a pmf is the exact B(n, p) rounded once, and
+            # 1.0 - mirror is exact (Sterbenz's lemma, as mirror >= 1/2), so
+            # where it is p the mirror cell is its partner reversed, bit for
+            # bit, and is not built.
+            exact = n > _ROW_MAX_N and 1.0 - mirror == grid[i]
+            b = None if exact else _terms(n, mirror)
             # Reuse is exact: every field is a function of the multiset of
             # values, since the exact integer sums ignore order and fsum
             # rounds correctly, so the entropy ignores it too. Tuple ==
@@ -361,7 +332,7 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
             # of an accepted vector passes every check, since the range
             # checks ignore order, and fsum of the same multiset decides
             # the sum bound wherever the plain-sum fast path declines.
-            if b == a.probs[::-1]:
+            if exact or b == a.probs[::-1]:
                 reports[steps - i] = reports[i]
             else:
                 reports[steps - i] = analyze(Distribution(b))

@@ -1,5 +1,6 @@
 """Unit tests for the distribution constructors and binomial sweeps."""
 
+import hashlib
 import math
 import sys
 import threading
@@ -41,6 +42,7 @@ from equivar import distributions
 from equivar.indicators import TOL_SUM, _report
 
 from conftest import A64_PROBS
+from test_kernel import assert_equivalent_numbers_in_order
 
 
 def exact_binomial_pmf(n: int, p: float) -> list[Fraction]:
@@ -48,21 +50,6 @@ def exact_binomial_pmf(n: int, p: float) -> list[Fraction]:
     fp = Fraction(p)
     fq = 1 - fp
     return [math.comb(n, k) * fp**k * fq ** (n - k) for k in range(n + 1)]
-
-
-def ulps_off(got: float, n: int, k: int, p: float, q: float) -> float:
-    """Distance of got from C(n, k) * p**k * q**(n-k), exact, in ulps of the latter.
-
-    p and q are dyadic, so the exact term is an integer over a power of two
-    and the whole comparison stays in integers.
-    """
-    a, da = p.as_integer_ratio()
-    b, db = q.as_integer_ratio()
-    num = math.comb(n, k) * a**k * b ** (n - k)
-    den = da**k * db ** (n - k)
-    un, ud = math.ulp(num / den).as_integer_ratio()
-    gn, gd = got.as_integer_ratio()
-    return abs(gn * den - num * gd) * ud / (gd * den * un)
 
 
 # The exact reference row carries each term as an integer cut to its top
@@ -343,12 +330,12 @@ def test_binomial_matches_exact_rational_pmf():
                 assert g == pytest.approx(float(w), rel=1e-13, abs=1e-300)
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 1029, 1030, 1100, 2000, 10000])
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 1029, 1030, 1100, 2000, 10000, 2 * 10**4, 10**5])
 def test_central_binomial_equivalent_number_d(n):
     # sum(C(n,k)^2) = C(2n,n), so D(B(n, 1/2)) = 4^n / C(2n, n) exactly.
     want = Fraction(4**n, math.comb(2 * n, n))
     got = equivalent_number_d(binomial(n, 0.5))
-    assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**14) * want
 
 
 @given(
@@ -375,19 +362,38 @@ def test_binomial_bits_match_per_term_comb(n, p):
         assert got[k].hex() == want.hex(), (n, p, k)
 
 
+def assert_exact_q_row(n, p):
+    """binomial(n, p) is reference_row(n, p, exact_q=True), bit for bit,
+    but where the exact term is a midpoint between two floats, on which the
+    reference may take either neighbour: there it is the exact term rounded
+    half to even."""
+    got = binomial(n, p).probs
+    want = reference_row(n, p, exact_q=True)
+    assert len(got) == len(want) == n + 1
+    fp = Fraction(p)
+    for k, (g, w) in enumerate(zip(got, want)):
+        if g.hex() != w.hex():
+            exact = math.comb(n, k) * fp**k * (1 - fp) ** (n - k)
+            assert Fraction(g) + Fraction(w) == 2 * exact, (n, p, k, g, w)
+            assert g.hex() == float(exact).hex(), (n, p, k)  # Fraction -> float rounds once
+
+
+def test_binomial_bits_up_to_n_1029_are_pinned():
+    # Every term of every n <= 1029 at these p, as float.hex, one pmf a
+    # line: 0.1.0's bits (see test_binomial_bits_match_per_term_comb, which
+    # samples k), pinned whole. The powers come from the C library's pow,
+    # so the digest holds where that is glibc's (2.28 on).
+    digest = hashlib.sha256()
+    for p in (-0.0, 1e-5, 0.01, 0.3, 0.5, 0.75, 0.999):
+        for n in range(1, 1030):
+            digest.update(" ".join(map(float.hex, binomial(n, p).probs)).encode() + b"\n")
+    assert digest.hexdigest() == "3237a4fb09b380a395c5c5d6ccffd7a0e218f8d0709e45aed8b1300a5d5ac7f7"
+
+
 @pytest.mark.parametrize("n", [1030, 1100, 2000])
 @pytest.mark.parametrize("p", [0.5, 0.3, 0.01, 0.93])
-def test_binomial_large_n_terms_within_4_ulp(n, p):
-    # The reference is the exact value for the float q = 1.0 - p the pmf
-    # uses: that subtraction is rounded for p < 1/2, and its rounding,
-    # raised to the power n - k, moves the terms of the true B(n, 0.3) by up
-    # to ~1000 ulps at n = 2000, in 0.1.0's expression as well.
-    got = binomial(n, p).probs
-    top = max(got)
-    for k, g in enumerate(got):
-        if g >= top / 2**52:
-            err = ulps_off(g, n, k, p, 1.0 - p)
-            assert err <= 4, (n, p, k, err)
+def test_binomial_large_n_terms_are_the_exact_q_row(n, p):
+    assert_exact_q_row(n, p)
 
 
 # Every row but (50, 0.3) and (60, 0.999) ends in subnormal and zero terms.
@@ -401,16 +407,6 @@ def test_reference_row_is_the_exact_row_rounded_once(n, p, exact_q):
         want.append(float(term))  # Fraction -> float rounds once
         term = term * (n - k) / (k + 1) * fp / fq
     assert _hex(reference_row(n, p, exact_q)) == _hex(want)
-
-
-def test_binomial_body_at_2e4_is_within_11_ulp_of_the_rounded_q_row():
-    # README's figure for n = 2*10**4; the exact q moves the body ~10**4 ulp.
-    n, p = 20000, 0.3
-    got = binomial(n, p).probs
-    top = max(got)
-    body = [(g, w) for g, w in zip(got, reference_row(n, p, exact_q=False)) if g >= top / 2**52]
-    assert len(body) > 1000
-    assert max(abs(g - w) / math.ulp(w) for g, w in body) <= 11
 
 
 @pytest.mark.parametrize("n", [1, 1100, 2000])
@@ -522,114 +518,57 @@ def test_interleaved_calls_give_fresh_bits():
     ]
 
 
-def _pow_frexp(x, k):
-    m, e = math.frexp(x)
-    mant, exp = 1.0, e * k
-    while k:
-        j = min(k, 1000)
-        mant, r = math.frexp(mant * m**j)
-        exp += r
-        k -= j
-    return mant, exp
-
-
-def _big_term(c, p, k, q, m):
-    """equivar's term for an integer coefficient past the float range, as
-    it was computed before the row was cached."""
-    s = c.bit_length() - 64
-    cm = (c >> s) | bool(c & ((1 << s) - 1))
-    pm, pe = _pow_frexp(p, k)
-    qm, qe = _pow_frexp(q, m)
-    return math.ldexp(cm * pm * qm, s + pe + qe)
-
-
 @given(
-    st.integers(min_value=1030, max_value=3000),
-    st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0, 1]),
+    st.integers(min_value=1030, max_value=3 * 10**4),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
 )
 @example(1030, 0.5)
-@example(1073, 0.5)  # C(1073, 413) rounds up to a double only through its sticky bit
-@example(1031, 0.0)
-@example(2999, 1.0)
-@example(1100, 1)
-@example(2003, 0.75)  # e = 0, and a run across the chunk edge at k = 1000
-@example(2003, 0.5)
-@example(2003, -0.0)
-@example(1100, 1e-310)  # a subnormal p, whose run powers underflow
-@example(1031, 0.3)  # an odd n: the run 492..539 has an even length
-@example(1100, 0.25)  # the run 388..712, with p's and q's segments swapped
-@example(1100, 0.75)
-@example(2049, 0.5)  # the run 227..1822 across k = 1000, one run for both bases
-@settings(max_examples=10, deadline=None)
-def test_binomial_past_the_float_range_keeps_its_bits(n, p):
-    got = binomial(n, p).probs
-    q = 1.0 - p
-    assert distributions._coefficients(n)[1]  # some coefficients are past the float range
-    for k in range(n + 1):
-        c = math.comb(n, k)
-        try:
-            want = c * p**k * q ** (n - k)
-        except OverflowError:
-            want = _big_term(c, p, k, q, n - k)
-        assert got[k].hex() == want.hex(), (n, p, k)
+@example(1031, 0.5)  # an odd n: the mirrored half holds both centre terms
+@example(1040, 0.5)  # C(1040, 7) / 2**1040 is a midpoint between two normal floats
+@example(1075, 0.5)  # k = 0..3 are midpoints between subnormals; k = 0 rounds to 0.0
+@example(1100, 5e-324)
+@example(1100, 1e-310)  # a subnormal p
+@example(1040, 1 - 2**-53)
+@example(2003, 0.75)
+@example(2000, 0.01)  # 0.1.0's expression loses the terms k >= 162 to underflow
+@example(1500, 1e-5)
+@example(3000, 0.999)
+@example(20000, 0.3)  # the body is ~10**4 ulp from the rounded-q row
+@example(20000, 0.5)
+@example(20000, 0.75)
+@settings(max_examples=25, deadline=None)
+def test_binomial_past_n_1029_is_the_exact_q_row(n, p):
+    assert_exact_q_row(n, p)
 
 
-def test_cached_row_is_small_numbers_only():
-    binomial(20000, 0.5)
-    info = distributions._coefficients.cache_info()
-    assert info.maxsize == 1 and info.currsize == 1
-    row, shifts = distributions._coefficients(20000)
-    assert len(row) == 20001 and all(type(c) is float and math.isfinite(c) for c in row)
-    assert shifts and all(type(s) is int and 0 < s.bit_length() <= 64 for s in shifts)
-    # One shift per k past the float range, the run k = lo..n - lo, whose
-    # row entries hold the coefficients' 64-bit sticky mantissas.
-    lo = (20001 - len(shifts)) // 2
-    assert row[lo - 1] == float(math.comb(20000, lo - 1))
-    with pytest.raises(OverflowError):
-        float(math.comb(20000, lo))
-    for k in (lo, 10000, 20000 - lo):
-        c, s = math.comb(20000, k), shifts[k - lo]
-        assert s == c.bit_length() - 64 and row[k] == float((c >> s) | bool(c & ((1 << s) - 1)))
+@pytest.mark.parametrize("n", [1030, 2003])
+def test_binomial_past_n_1029_at_minus_zero_is_one_sure_outcome(n):
+    # -0.0 is 0 / 2**0 exactly, so its pmf is the exact B(n, 0): no term is
+    # -0.0 (up to n = 1029 the odd-k terms are, as in 0.1.0).
+    assert _hex(binomial(n, -0.0).probs) == _hex(binomial(n, 0.0).probs)
 
 
-@given(st.integers(min_value=1030, max_value=20000), st.integers(min_value=0))
-@example(1073, 3)  # k = 413: C(1073, 413) rounds up to a double only through its sticky bit
-@settings(max_examples=5, deadline=None)
-def test_run_entries_are_the_sticky_cut_of_the_exact_coefficient(n, offset):
-    # The reference computes the sticky bit from the dropped bits, which the
-    # row takes to be 1 on the run (Kummer's theorem bounds the trailing zeros).
-    row, shifts = distributions._coefficients(n)
-    lo = (n + 1 - len(shifts)) // 2
-    k = lo + offset % len(shifts)
-    c, s = math.comb(n, k), shifts[k - lo]
-    assert s == c.bit_length() - 64 and s >= 960
-    assert row[k] == float((c >> s) | bool(c & ((1 << s) - 1))), (n, k)
-
-
-def test_the_float_limit_is_the_least_integer_float_refuses():
-    limit = distributions._FLOAT_LIMIT
-    assert math.isfinite(float(limit - 1))
-    with pytest.raises(OverflowError):
-        float(limit)
-
-
-@pytest.mark.parametrize("n", [1029, 1030, 1031, 1073, 2003])
-def test_coefficients_past_the_limit_are_the_ones_float_refuses(n):
-    # The reference probes each exact coefficient with float() itself.
-    row, shifts = [], []
-    for k in range(n + 1):
-        c = math.comb(n, k)
-        try:
-            row.append(float(c))
-        except OverflowError:
-            s = c.bit_length() - 64
-            row.append(float((c >> s) | 1))
-            shifts.append(s)
+@pytest.mark.parametrize("n", [1, 2, 1028, 1029])
+def test_the_row_is_each_coefficient_rounded_once(n):
     distributions._coefficients.cache_clear()
-    got_row, got_shifts = distributions._coefficients(n)
-    assert [x.hex() for x in got_row] == [x.hex() for x in row]
-    assert list(got_shifts) == shifts
-    assert bool(shifts) == (n >= 1030)
+    assert _hex(distributions._coefficients(n)) == _hex(float(math.comb(n, k)) for k in range(n + 1))
+    assert distributions._coefficients.cache_info().maxsize == 1
+
+
+def test_n_1029_is_the_last_whose_coefficients_are_floats():
+    assert distributions._ROW_MAX_N == 1029
+    assert all(math.isfinite(float(math.comb(1029, k))) for k in range(1030))
+    with pytest.raises(OverflowError):
+        float(math.comb(1030, 515))
+
+
+def test_no_row_or_table_is_built_past_n_1029():
+    _clear_caches()
+    binomial(20000, 0.5)
+    binomial(1030, 0.3)
+    sweep_binomial([1100], 5)
+    assert distributions._coefficients.cache_info().currsize == 0
+    assert distributions._table.cache_info().currsize == 0
 
 
 # ----------------------------------------------------------------------
@@ -658,16 +597,15 @@ def _clear_caches():
 @example([(1031, 2, 1.0), (1031, 2, -0.0)])
 @example([(900, 5, 0.3), (40, 5, 0.3)])  # tables of 1024, then 64 powers
 @example([(40, 5, 0.3), (900, 5, 0.3)])  # the same, the other way round
-# Across n = 1030: n = 1100 reads its lo = 388 powers from the table of 512
-# that n = 500 reads 501 of, and computes the powers past its run itself.
+# Across n = 1030: n = 1100 reads no table, between calls that do.
 @example([(40, 3, 0.5), (1100, 3, 0.5)])
 @example([(900, 3, 0.5), (1100, 3, 0.5)])
 @example([(1100, 5, 0.25), (500, 5, 0.25)])
 @example([(1100, 5, 0.25), (200, 5, 0.25)])
 @example([(1100, 5, 0.75), (2000, 5, 0.25)])  # both past it, n up, then down
 @example([(2000, 5, 0.25), (1100, 5, 0.75)])
-# On the run: e = 0 (p = 0.75 and 0.5, whose mantissa is p), p = -0.0, a
-# subnormal p, and n = 2003, whose run crosses the chunk edge at k = 1000.
+# Past n = 1029: p = 0.75 and 0.5 (a mirrored palindrome), p = -0.0 and a
+# subnormal p.
 @example([(2003, 5, 0.75), (2003, 3, 0.5)])
 @example([(2003, 7, -0.0), (1100, 11, 1e-310)])
 @settings(max_examples=8, deadline=None)
@@ -689,21 +627,6 @@ def test_shared_power_tables_keep_every_bit(draws):
         assert _hex(pt.report.to_dict().values()) == _hex(fresh.to_dict().values()), pt[:2]
 
 
-@pytest.mark.parametrize("p", [0.3, 0.5, 0.75])  # p = 0.5 and 0.75 have e = 0
-def test_big_terms_over_many_chunks_keep_their_bits(p):
-    # At n = 20000 both p**k and q**(n - k) span two or more chunks of 1000
-    # powers for every sampled k, on both sides of the mode.
-    n = 20000
-    q = 1.0 - p
-    mode = round(n * p)
-    got = binomial(n, p).probs
-    ks = range(mode - 2400, mode + 2401, 96)
-    assert min(ks) >= 2000 and n - max(ks) >= 2000
-    assert sum(got[k] > 0.0 for k in ks) >= 40
-    for k in ks:
-        assert got[k].hex() == _big_term(math.comb(n, k), p, k, q, n - k).hex(), (p, k)
-
-
 def test_caches_stay_bounded_after_a_sweep():
     _clear_caches()
     sweep_binomial([1100, 40], 101)
@@ -713,12 +636,10 @@ def test_caches_stay_bounded_after_a_sweep():
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5])
-@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1029, 1030, 1100, 2 * 10**4])
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1029])
 def test_power_tables_are_powers_of_two_long_and_cover_the_call(monkeypatch, n, p):
-    # A call reads n + 1 powers of each base when n has no run, and the lo
-    # powers below the run when it has one.
-    _, shifts = distributions._coefficients(n)
-    read = n + 1 if not shifts else (n + 1 - len(shifts)) // 2
+    # A call reads n + 1 powers of each base (past n = 1029 it reads none).
+    read = n + 1
     _clear_caches()
     real, keys = distributions._table, set()
     monkeypatch.setattr(distributions, "_table", lambda x, size: keys.add((x, size)) or real(x, size))
@@ -737,8 +658,7 @@ def _cell_bits(task):
 
 
 def test_threads_sharing_the_power_tables_get_every_bit():
-    # Interleaved n across the run's bounds (lo = 388 and hi = 713 at
-    # n = 1100) and across n = 1030, on the bases of a 5-point grid.
+    # Interleaved n on both sides of n = 1030, on the bases of a 5-point grid.
     ns = [1100, 3, 1030, 713, 40, 1050, 1, 900, 388, 1029, 200, 2, 712, 500, 7]
     tasks = [("sweep", n) for n in ns]
     tasks += [("binomial", n, p) for n in ns for p in (0.25, 0.5, 0.75)]
@@ -885,6 +805,20 @@ def test_every_sweep_cell_is_the_report_of_its_own_pmf(n, p_steps):
         assert _hex(pt.report) == _hex(want), (n, pt.p)
 
 
+@given(st.integers(min_value=1, max_value=1100), st.integers(min_value=2, max_value=21))
+@example(1, 2)
+@example(1029, 5)
+@example(1030, 7)
+@example(1030, 11)
+@example(1100, 9)
+@example(1100, 21)
+@settings(max_examples=15, deadline=None)
+def test_every_sweep_cell_keeps_the_equivalent_numbers_in_order(n, p_steps):
+    # The cells of test_every_sweep_cell_is_the_report_of_its_own_pmf.
+    for pt in sweep_binomial([n], p_steps):
+        assert_equivalent_numbers_in_order(binomial(n, pt.p).probs, pt.report)
+
+
 @given(st.integers(min_value=1, max_value=5000))
 @example(1)
 @example(2)
@@ -973,17 +907,35 @@ def test_a_reversed_mirror_pmf_is_not_analyzed_again(monkeypatch, n, p_steps, ca
     assert len(calls) == 2 * calls_per_n
 
 
-@pytest.mark.parametrize("n", [40, 1030])
-@pytest.mark.parametrize("p_steps", [9, 11, 21])
+@pytest.mark.parametrize("p_steps, n", [(9, 40), (11, 40), (21, 40), (11, 1030), (21, 1030)])
 def test_each_unreversed_mirror_pmf_is_analyzed_once_more(monkeypatch, n, p_steps):
     # 1 - p rounds, so on these grids some mirror pmfs differ from their
-    # partner's reversal in low bits: 1 of 3 pairs at 9 points, every pair
-    # at 11, 8 of 9 at 21.
+    # partner's reversal in low bits: at n = 40, 1 of 3 pairs at 9 points,
+    # every pair at 11, 8 of 9 at 21. Past n = 1029 only the pairs whose
+    # 1.0 - p' is not p differ: none at 9 points.
     extra = _unreversed_pairs(n, p_steps)
     assert extra > 0
     calls = _count_analyze_calls(monkeypatch)
     sweep_binomial([n], p_steps)
     assert len(calls) == (p_steps - 1) // 2 + extra
+
+
+@pytest.mark.parametrize("n", [1029, 1030, 1100])
+@pytest.mark.parametrize("p_steps", [5, 9, 11, 21, 101])
+def test_past_n_1029_a_mirror_cell_whose_one_minus_p_is_exact_is_not_built(monkeypatch, n, p_steps):
+    # Such a cell is its partner reversed, bit for bit, so it takes its
+    # partner's report unbuilt; up to n = 1029 every mirror cell is built.
+    built = []
+    terms = distributions._terms
+    monkeypatch.setattr(distributions, "_terms", lambda n, p: built.append(p) or terms(n, p))
+    sweep_binomial([n], p_steps)
+    steps = p_steps - 1
+    grid = [i / steps for i in range(p_steps)]
+    want = [grid[steps - i] for i in range(1, (steps + 1) // 2)
+            if n <= 1029 or 1.0 - grid[steps - i] != grid[i]]
+    assert [p for p in built if p > 0.5] == want
+    if n > 1029 and p_steps in (5, 9):
+        assert want == []
 
 
 def test_a_mirror_pmf_one_bit_off_takes_its_own_report(monkeypatch):

@@ -462,6 +462,49 @@ def test_binomial_reports_are_bit_identical_to_fraction_path(n, p):
     assert _bits(analyze(dist)) == _bits(ref_analyze(dist))
 
 
+def assert_equivalent_numbers_in_order(probs, report):
+    """1 / max p <= t * D <= F <= N / t for the report of probs, t = p_total.
+
+    With H_a = log2(sum(p**a) / t) / (1 - a), the Renyi entropy of order a
+    of an incomplete vector, these are 2**H_a for a = inf, 2, 1 and 0 (the
+    last over the non-zero values, at most N of them), and H_a does not
+    increase with a. Each bound holds within F's error bound, 1 + 6 ln 2 *
+    H ulp, plus 1 ulp for the roundings of t and D: uniform(7) reads
+    t * D = 7.000000000000001 and F = 6.999999999999998. The sides are
+    Fractions, so none overflows. Where D is inf (a tiny total) t * D is
+    the exact t / sum(p**2), N / t takes the exact t, and where F = 2**H is
+    past the float range it is formed in two exact parts.
+    """
+    values = [Fraction(p) for p in probs if p]
+    total = sum(values)
+    h = report.entropy_bits
+    slack = 1 + Fraction(2 + 6 * LN2 * h) / 2**52
+    if math.isinf(report.equiv_number_d):
+        td = total / sum(v * v for v in values)
+    else:
+        td = Fraction(report.p_total) * Fraction(report.equiv_number_d)
+    if math.isinf(report.avg_number_f):
+        f = Fraction(2) ** math.floor(h) * Fraction(2.0 ** (h - math.floor(h)))
+    else:
+        f = Fraction(report.avg_number_f)
+    assert 1 / max(values) <= td * slack, (probs, report)
+    assert td <= f * slack, (probs, report)
+    assert f <= len(values) / total * slack and len(values) <= report.n_outcomes, (probs, report)
+
+
+@given(rearranged())
+@settings(max_examples=400, deadline=None)
+@example(list(uniform(7).probs))
+@example([0.5, 0.5, 0.0])
+@example([1.0])
+@example([1e-200, 3e-200])  # D is inf
+@example([5e-324, 1e-320, 0.0])  # so is 1 / max p
+@example([0.6, 0.3, 1e-30, 1e-300])
+def test_the_equivalent_numbers_are_in_order(probs):
+    if any(probs):
+        assert_equivalent_numbers_in_order(probs, analyze(from_probabilities(probs)))
+
+
 # any non-negative finite float: the kernel's own domain, wider than [0, 1]
 anywhere = st.floats(0.0, allow_infinity=False, allow_subnormal=True) | st.builds(
     math.ldexp, st.floats(0.5, 1.0), st.integers(-1074, 1023)
