@@ -93,9 +93,7 @@ def degenerate(n: int, sure_index: int = 0) -> Distribution:
 
 # Only _table (_BASES_KEPT * 12 = 48 tables) and _coefficients (one row)
 # cache. Four bases cover one mirrored sweep pair (p, 1 - p, p', 1 - p')
-# and the three of a 3- or 5-point grid. Keys cannot collide: p and q are
-# floats, and -0.0 is the only zero that reaches a table, because p = +0.0
-# and p = 1 are built in closed form.
+# and the three of a 3- or 5-point grid.
 _BASES_KEPT = 4
 
 # The most cells one sweep_binomial call returns. Each retained cell takes
@@ -105,8 +103,8 @@ _BASES_KEPT = 4
 # before it ends.
 _SWEEP_MAX_POINTS = 1 << 20
 
-# The largest n of an inner cell (every p but 1 and +0.0). Its pmf takes
-# O(n) time and memory: at 2**20, 0.5 s (p = 0.5) to 1.2 s (p = 0.3) and a
+# The largest n of an inner cell (0 < p < 1). Its pmf takes O(n) time
+# and memory: at 2**20, 0.5 s (p = 0.5) to 1.2 s (p = 0.3) and a
 # 17 MiB peak for an 8 MiB result (tracemalloc; Python 3.11, 2 CPUs), so a
 # cell answers in about a second. At 2**30 one would take some 20 minutes
 # and 16 GiB.
@@ -146,9 +144,9 @@ def _coefficients(n: int) -> tuple[float, ...]:
     return tuple(half + half[n % 2 - 2 :: -1])
 
 
-def _row_bound(n: int) -> None:
-    """Refuse, with ParameterOutOfRange, an n past the work bound
-    ``_BINOMIAL_MAX_N``."""
+def _time_bound(n: int) -> None:
+    """Refuse, with ParameterOutOfRange, an n past ``_BINOMIAL_MAX_N``,
+    beyond which a pmf for 0 < p < 1 takes too long (see there)."""
     if n > _BINOMIAL_MAX_N:
         raise ParameterOutOfRange(f"need n <= {_BINOMIAL_MAX_N} when 0 < p < 1, got {n}")
 
@@ -156,7 +154,9 @@ def _row_bound(n: int) -> None:
 def binomial(n: int, p: float) -> Distribution:
     """Binomial pmf B(n, p) over k = 0..n as a complete distribution.
 
-    p may be any real number; it is read as ``float(p)``. Up to n = 1029
+    p may be any real number; it is read as ``float(p)``. p = ±0 and p = 1
+    give one sure outcome, in closed form, at every n: the vector
+    :func:`degenerate` builds, +0.0 elsewhere. For 0 < p < 1, up to n = 1029
     each term is ``C(n, k) * p**k * q**(n - k)`` with the float q = 1 - p,
     evaluated in that order in product passes over the coefficient row
     (cached for the last n; see _coefficients) and the powers of p and of q
@@ -167,23 +167,19 @@ def binomial(n: int, p: float) -> Distribution:
     that is lost when p**k or q**(n - k) underflows. From n = 1030 on each
     term is the exact B(n, p) of the float p, whose q = 1 - p is taken
     exactly, rounded once to the nearest float, subnormals and zeros
-    included (see _terms). The p = 1 and p = +0.0 endpoints are one sure
-    outcome, built in closed form as :func:`degenerate` (the same bits the
-    terms give). p = -0.0 takes the general path: up to n = 1029 its
-    odd-k terms are -0.0, as in 0.1.0, and from n = 1030 on it is the
-    exact B(n, 0), one sure outcome with +0.0 elsewhere.
+    included (see _terms).
 
-    At the endpoints the n check takes any n >= 1 up to ``sys.maxsize -
+    At p = ±0 and p = 1 the n check takes any n >= 1 up to ``sys.maxsize -
     1``, but the vector still holds n + 1 floats, so memory bounds n there
     (a sweep's endpoint cells build no vector; see sweep_binomial). Every
-    other p refuses an n past ``_BINOMIAL_MAX_N`` (2**20) with
+    0 < p < 1 refuses an n past ``_BINOMIAL_MAX_N`` (2**20) with
     ParameterOutOfRange before any work is done.
     """
     n = _integer(n, "n", 1, ZeroSize, sys.maxsize - 1)  # n + 1 outcomes
     p = _unit_interval(p, "p")
-    if p == 1.0 or (p == 0.0 and math.copysign(1.0, p) > 0.0):
+    if p == 0.0 or p == 1.0:  # -0.0 == 0.0
         return degenerate(n + 1, n if p else 0)
-    _row_bound(n)
+    _time_bound(n)
     return Distribution(_terms(n, p))
 
 
@@ -194,13 +190,13 @@ def _cut(t: int, e: int) -> tuple[int, int]:
 
 
 def _terms(n: int, p: float) -> tuple[float, ...]:
-    """The pmf of B(n, p) as a tuple of floats, for n and p as binomial
-    reads them and p neither 1 nor +0.0; see binomial for which bits.
+    """The pmf of B(n, p) as a tuple of floats, for n as binomial reads it
+    and 0 < p < 1; see binomial for which bits. p = ±0 and p = 1 give one
+    sure outcome, in closed form, at every n, and never reach here.
 
     Up to n = 1029 the terms are formed in one pass over the row and the
     cached power tables of p and of q (see _table), reversed for q: the
-    row is n + 1 long, so it stops the pass where a table runs longer. At
-    p = 0.5, where q = 1 - p is p, one table serves both.
+    row is n + 1 long, so it stops the pass where a table runs longer.
 
     From n = 1030 on the terms come from one recurrence in integers: p is
     a / 2**alpha exactly, so the exact q is b / 2**alpha with b = 2**alpha
@@ -222,9 +218,8 @@ def _terms(n: int, p: float) -> tuple[float, ...]:
     only for a mirror cell it analyzes.
     """
     if n <= _ROW_MAX_N:
-        q, size = 1.0 - p, 1 << n.bit_length()
-        pk = _table(p, size)
-        qk = pk if q == p else _table(q, size)
+        size = 1 << n.bit_length()
+        pk, qk = _table(p, size), _table(1.0 - p, size)
         return tuple(map(mul, map(mul, _coefficients(n), pk), qk[n::-1]))
     a, den = p.as_integer_ratio()
     alpha = den.bit_length() - 1
@@ -260,12 +255,13 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
     cells of a pair read at most four bases, as many as are kept, and share
     a table wherever ``1 - p`` of one is exactly the other's p.
 
-    The p = 0 and p = 1 cells are one sure outcome among n + 1, whose every
-    report field depends on N = n + 1 and the one value 1.0 alone (see
-    indicators), so their one report is taken from those, in O(1) at any
-    n, and no vector of n + 1 values is built: a 2-point sweep takes any n
-    up to ``sys.maxsize - 1``. It is the report ``analyze(degenerate(n +
-    1))`` gives, bit for bit.
+    p = ±0 and p = 1 give one sure outcome among n + 1, in closed form, at
+    every n, as in binomial. Every report field of such a cell depends on
+    N = n + 1 and the one value 1.0 alone (see indicators), so the p = 0
+    and p = 1 cells' one report is taken from those, in O(1) at any n, and
+    no vector of n + 1 values is built: a 2-point sweep takes any n up to
+    ``sys.maxsize - 1``. It is the report ``analyze(degenerate(n + 1))``
+    gives, bit for bit.
 
     Every inner pmf is built by ``binomial`` or, for a mirror cell, by
     ``_terms``, but each distinct one is analyzed once: a mirror cell whose
@@ -296,7 +292,7 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
         raise ParameterOutOfRange(f"need an iterable of trial counts, got {ns!r}") from None
     if p_steps > 2:
         for n in ns:
-            _row_bound(n)
+            _time_bound(n)
     if len(ns) * p_steps > _SWEEP_MAX_POINTS:
         raise ParameterOutOfRange(
             f"need (number of n) * p_steps <= {_SWEEP_MAX_POINTS} cells,"
@@ -325,13 +321,12 @@ def sweep_binomial(ns: Sequence[int], p_steps: int) -> list[SweepPoint]:
             b = None if exact else _terms(n, mirror)
             # Reuse is exact: every field is a function of the multiset of
             # values, since the exact integer sums ignore order and fsum
-            # rounds correctly, so the entropy ignores it too. Tuple ==
-            # treats +0.0 and -0.0 alike, and zeros drop out of every
-            # field; a grid p is never -0.0 anyway. Validating only an
-            # analyzed mirror cell skips no check's outcome: the reversal
-            # of an accepted vector passes every check, since the range
-            # checks ignore order, and fsum of the same multiset decides
-            # the sum bound wherever the plain-sum fast path declines.
+            # rounds correctly, so the entropy ignores it too. Validating
+            # only an analyzed mirror cell skips no check's outcome: the
+            # reversal of an accepted vector passes every check, since the
+            # range checks ignore order, and fsum of the same multiset
+            # decides the sum bound wherever the plain-sum fast path
+            # declines.
             if exact or b == a.probs[::-1]:
                 reports[steps - i] = reports[i]
             else:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import reprlib
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
@@ -86,9 +87,9 @@ class AreaRecord(namedtuple("AreaRecord", "area_id directions region")):
     """One ocean area: identifier plus its 8-direction probability vector.
 
     Validated on construction, copying and unpickling: the id must be one
-    both table readers return as it is (they leave that check to it), the
-    region a string or None (the JSON table gives either back as it is),
-    and an unlabelled vector is given DIRECTION_LABELS.
+    both table readers return as it is, and the region a string or None,
+    which the JSON table gives back as it is (the readers leave both checks
+    to it); an unlabelled vector is given DIRECTION_LABELS.
     """
 
     __slots__ = ()
@@ -107,8 +108,9 @@ class AreaRecord(namedtuple("AreaRecord", "area_id directions region")):
                 "a control character, a line separator or a lone surrogate"
             )
         if not (region is None or isinstance(region, str)):
+            # reprlib cuts a long or deep array or object from a JSON table short.
             raise ValidationFailure(
-                f"area {area_id!r} region must be a string or None, got {region!r}"
+                f"area {area_id!r} region must be a string or None, got {reprlib.repr(region)}"
             )
         if directions.n != 8:
             raise BadFieldCount(f"area {area_id!r} has {directions.n} directions, need 8")
@@ -272,7 +274,7 @@ def _add_area(
         raise type(exc)(f"{where}: {exc}") from None
     try:
         records[area_id] = AreaRecord(area_id=area_id, directions=dist, region=region)
-    except ValidationFailure as exc:  # the id's fault: the region is None or a str
+    except ValidationFailure as exc:  # the id's or the region's fault
         raise ParseError(f"{where}: {exc}") from None
 
 
@@ -302,13 +304,12 @@ def _parse_json(doc) -> list[AreaRecord]:
         directions = entry["directions"]
         if not isinstance(directions, list) or len(directions) != 8:
             raise BadFieldCount(f"entry {idx}: 'directions' must hold 8 numbers")
-        area_id, region = entry["area"], entry.get("region")
+        area_id = entry["area"]
         if not isinstance(area_id, str):
             raise ParseError(f"entry {idx}: area id is not a string: {_shown(area_id)}")
-        area_id = area_id.strip()
         _add_area(
-            records, f"entry {idx}", area_id, directions, _json_number,
-            None if region is None else str(region),
+            records, f"entry {idx}", area_id.strip(), directions, _json_number,
+            entry.get("region"),
         )
     return list(records.values())
 
@@ -372,7 +373,7 @@ def rank_areas(
     Takes records or their already computed reports. Ties break by area id
     ascending, so the ordering is deterministic.
     """
-    if key not in RANK_KEYS:
+    if not isinstance(key, str) or key not in RANK_KEYS:  # [] or {} is unhashable
         raise ParseError(f"unknown rank key {key!r}, expected one of {sorted(RANK_KEYS)}")
     if not areas:
         raise EmptyInput("no areas to rank")

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from equivar import analyze, cli, errors, sample_table_path, sweep_binomial, waveclimate
 from equivar.cli import main
 
+from conftest import A64_PROBS
+
 RFC3339 = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
 
 
@@ -195,12 +197,15 @@ def test_deep_nesting_at_the_json_limit_is_one_error_line(capsys, tmp_path):
         assert err.startswith("equivar: ")
         return "invalid JSON" not in err
 
+    region = '[{{"area": "A1", "directions": [0, 0, 0, 0, 0, 0, 0, 0], "region": {}}}]'
     cases = [
         ("analyze", lambda a, o: f'{{"probs": {o}}}'),
         ("analyze", lambda a, o: f'{{"probs": [{a}]}}'),
         ("analyze", lambda a, o: f'{{"probs": [0.5, 0.5], "labels": {o}}}'),
         ("gws", lambda a, o: f'[{{"area": "A1", "directions": [{a}, 0, 0, 0, 0, 0, 0, 0]}}]'),
         ("gws", lambda a, o: f"[{o}]"),
+        ("gws", lambda a, o: region.format(a)),
+        ("gws", lambda a, o: region.format(o)),
     ]
     depth = sys.getrecursionlimit()  # down to the deepest array main() decodes
     while not decoded("analyze", "[" * depth + "]" * depth):
@@ -676,6 +681,31 @@ def test_a_row_with_a_bad_id_and_a_bad_value_names_the_value(capsys, tmp_path):
     f.write_text(f'{waveclimate.CSV_HEADER}\na"b,-0.1{",0.1" * 7}\n')
     code, out, err = run(capsys, "gws", "--input", str(f))
     assert (code, out, err) == (2, "", "equivar: NegativeProbability: row 2: probability 0 is -0.1\n")
+
+
+# AreaRecord checks the region too; the JSON reader hands it over as it is.
+@pytest.mark.parametrize("region, shown", [("5", "5"), ("true", "True"), ("[]", "[]"), ("{}", "{}")])
+def test_a_json_region_that_is_not_a_string_or_null_is_one_error_line(capsys, tmp_path, region, shown):
+    f = tmp_path / "areas.json"
+    f.write_text('[{"area": "A", "directions": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]},'
+                 ' {"area": "B", "directions": [0, 0, 0, 0, 0, 0, 0, 0], "region": ' + region + "}]")
+    code, out, err = run(capsys, "gws", "--input", str(f), "--format", "json")
+    line = f"entry 2: area 'B' region must be a string or None, got {shown}"
+    assert (code, out, err) == (2, "", f"equivar: ParseError: {line}\n")
+
+
+@pytest.mark.parametrize("region", [None, "", "eastern Pacific"])
+def test_a_json_region_that_is_a_string_or_null_moves_no_output_byte(capsys, tmp_path, region):
+    outputs = []
+    for entry in ({}, {"region": region}):
+        f = tmp_path / "areas.json"
+        f.write_text(json.dumps([{"area": "A64", "directions": list(A64_PROBS), **entry}]))
+        chart = tmp_path / "chart.csv"
+        code, out, err = run(capsys, "gws", "--input", str(f), "--format", "json", "--rank", "d",
+                             "--chart", str(chart), "--no-timestamp")
+        assert (code, err) == (0, "")
+        outputs.append((out, chart.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 # ----------------------------------------------------------------------

@@ -346,8 +346,6 @@ def test_central_binomial_equivalent_number_d(n):
 @example(1029, 0.0)
 @example(1029, 1.0)
 @example(1, 0.5)
-@example(7, -0.0)  # odd-k terms are -0.0, as in 0.1.0
-@example(1029, -0.0)
 @settings(max_examples=150, deadline=None)
 def test_binomial_bits_match_per_term_comb(n, p):
     # Every coefficient of n <= 1029 fits a float, so the running
@@ -379,15 +377,15 @@ def assert_exact_q_row(n, p):
 
 
 def test_binomial_bits_up_to_n_1029_are_pinned():
-    # Every term of every n <= 1029 at these p, as float.hex, one pmf a
-    # line: 0.1.0's bits (see test_binomial_bits_match_per_term_comb, which
-    # samples k), pinned whole. The powers come from the C library's pow,
-    # so the digest holds where that is glibc's (2.28 on).
+    # Every term of every n <= 1029 at these p in (0, 1), as float.hex, one
+    # pmf a line: 0.1.0's bits (see test_binomial_bits_match_per_term_comb,
+    # which samples k), pinned whole. The powers come from the C library's
+    # pow, so the digest holds where that is glibc's (2.28 on).
     digest = hashlib.sha256()
-    for p in (-0.0, 1e-5, 0.01, 0.3, 0.5, 0.75, 0.999):
+    for p in (1e-5, 0.01, 0.3, 0.5, 0.75, 0.999):
         for n in range(1, 1030):
             digest.update(" ".join(map(float.hex, binomial(n, p).probs)).encode() + b"\n")
-    assert digest.hexdigest() == "3237a4fb09b380a395c5c5d6ccffd7a0e218f8d0709e45aed8b1300a5d5ac7f7"
+    assert digest.hexdigest() == "66e93b36488eab08b7870f1bc13d320743763a46d2183217403813324e376413"
 
 
 @pytest.mark.parametrize("n", [1030, 1100, 2000])
@@ -409,10 +407,14 @@ def test_reference_row_is_the_exact_row_rounded_once(n, p, exact_q):
     assert _hex(reference_row(n, p, exact_q)) == _hex(want)
 
 
-@pytest.mark.parametrize("n", [1, 1100, 2000])
+# p = +0.0, -0.0 and 1 take the closed form on both sides of n = 1030: no
+# term is -0.0.
+@pytest.mark.parametrize("n", [1, 7, 1029, 1030, 1100, 2000, 2003])
 def test_binomial_endpoints_are_one_sure_outcome_bit_for_bit(n):
     sure_first = (1.0,) + (0.0,) * n
+    assert _hex(degenerate(n + 1, 0).probs) == _hex(sure_first)
     assert _hex(binomial(n, 0.0).probs) == _hex(sure_first)
+    assert _hex(binomial(n, -0.0).probs) == _hex(sure_first)
     assert _hex(binomial(n, 1.0).probs) == _hex(sure_first[::-1])
 
 
@@ -541,13 +543,6 @@ def test_binomial_past_n_1029_is_the_exact_q_row(n, p):
     assert_exact_q_row(n, p)
 
 
-@pytest.mark.parametrize("n", [1030, 2003])
-def test_binomial_past_n_1029_at_minus_zero_is_one_sure_outcome(n):
-    # -0.0 is 0 / 2**0 exactly, so its pmf is the exact B(n, 0): no term is
-    # -0.0 (up to n = 1029 the odd-k terms are, as in 0.1.0).
-    assert _hex(binomial(n, -0.0).probs) == _hex(binomial(n, 0.0).probs)
-
-
 @pytest.mark.parametrize("n", [1, 2, 1028, 1029])
 def test_the_row_is_each_coefficient_rounded_once(n):
     distributions._coefficients.cache_clear()
@@ -604,8 +599,8 @@ def _clear_caches():
 @example([(1100, 5, 0.25), (200, 5, 0.25)])
 @example([(1100, 5, 0.75), (2000, 5, 0.25)])  # both past it, n up, then down
 @example([(2000, 5, 0.25), (1100, 5, 0.75)])
-# Past n = 1029: p = 0.75 and 0.5 (a mirrored palindrome), p = -0.0 and a
-# subnormal p.
+# Past n = 1029: p = 0.75 and 0.5 (a mirrored palindrome), p = -0.0 (in
+# closed form) and a subnormal p.
 @example([(2003, 5, 0.75), (2003, 3, 0.5)])
 @example([(2003, 7, -0.0), (1100, 11, 1e-310)])
 @settings(max_examples=8, deadline=None)
@@ -647,6 +642,22 @@ def test_power_tables_are_powers_of_two_long_and_cover_the_call(monkeypatch, n, 
     assert len(keys) == (1 if p == 0.5 else 2)  # at p = 0.5, q is the same base
     for _, size in keys:
         assert size & (size - 1) == 0 and read <= size <= 2**11, (size, read)
+
+
+@pytest.mark.parametrize("n", [1, 40, 1029, 1030, 1100])
+def test_no_zero_p_or_q_reaches_the_terms_or_the_tables(monkeypatch, n):
+    # binomial sends p = +0.0, -0.0 and 1 to the closed form, so _terms and
+    # _table see only 0 < p < 1, and q = 1 - p is not 0 either.
+    _clear_caches()
+    terms, table, bases = distributions._terms, distributions._table, []
+    monkeypatch.setattr(distributions, "_terms", lambda m, p: bases.append(p) or terms(m, p))
+    monkeypatch.setattr(distributions, "_table", lambda x, size: bases.append(x) or table(x, size))
+    for p in (0.0, -0.0, 1.0):
+        binomial(n, p)
+    assert bases == []
+    sweep_binomial([n], 5)
+    sweep_binomial([n], 101)
+    assert bases and all(0.0 < x < 1.0 for x in bases), sorted(set(bases))[:3]
 
 
 def _cell_bits(task):
@@ -763,10 +774,11 @@ def test_an_empty_sweep_builds_no_grid():
         sweep_binomial([], 1)
 
 
-# A coefficient row costs O(n**2), so an n past the work bound is refused
-# before any term is built wherever the row would be: every p but the
-# endpoints 1 and +0.0, and any sweep with inner cells.
-def test_an_n_past_the_row_bound_is_refused_before_any_work(monkeypatch):
+# A pmf for 0 < p < 1 takes O(n) time, so an n past the time bound is
+# refused before any term is built wherever one would be: every p in
+# (0, 1), and any sweep with inner cells. p = ±0 and p = 1 are built in
+# closed form at any n.
+def test_an_n_past_the_time_bound_is_refused_before_any_work(monkeypatch):
     refused = r"^need n <= {} when 0 < p < 1, got {}$"
     with pytest.raises(ParameterOutOfRange, match=refused.format(1 << 20, 2**62)):
         binomial(2**62, 0.3)
@@ -777,13 +789,14 @@ def test_an_n_past_the_row_bound_is_refused_before_any_work(monkeypatch):
     assert len(sweep_binomial([10], 3)) == 3
     built = []
     monkeypatch.setattr(distributions, "_terms", lambda n, p: built.append((n, p)))
-    for make in (lambda: binomial(11, 0.3), lambda: binomial(11, -0.0),
+    for make in (lambda: binomial(11, 0.3), lambda: binomial(11, 5e-324),
                  lambda: sweep_binomial([3, 11], 3)):
         with pytest.raises(ParameterOutOfRange, match=refused.format(10, 11)):
             make()
-    assert built == []
     # The endpoints are built in closed form, so they take any n.
-    assert binomial(11, 0.0).probs[0] == binomial(11, 1.0).probs[11] == 1.0
+    for p, sure in ((0.0, 0), (-0.0, 0), (1.0, 11)):
+        assert _hex(binomial(11, p).probs) == _hex(degenerate(12, sure).probs)
+    assert built == []
     assert [pt.p for pt in sweep_binomial([11], 2)] == [0.0, 1.0]
 
 

@@ -322,6 +322,26 @@ def test_area_record_refuses_a_region_that_is_not_a_string(region):
         AreaRecord("A", uniform(8))._replace(region=region)
 
 
+@pytest.mark.parametrize(
+    "region, shown",
+    [("5", "5"), ("true", "True"), ("[]", "[]"), ("{}", "{}"),
+     ('{"ocean": "Pacific"}', "{'ocean': 'Pacific'}"), ("[" * 50 + "]" * 50, "[[[[[[[...]]]]]]]")],
+    ids=["number", "true", "array", "object", "object-of-text", "deep-array"],
+)
+def test_a_json_region_that_is_not_a_string_or_null_is_refused(region, shown):
+    doc = '[{"area": "A1", "directions": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]},'
+    doc += ' {"area": "A2", "directions": [0, 0, 0, 0, 0, 0, 0, 0], "region": ' + region + "}]"
+    message = rf"^entry 2: area 'A2' region must be a string or None, got {re.escape(shown)}$"
+    with pytest.raises(ParseError, match=message):
+        parse_area_table(doc, "json")
+
+
+@pytest.mark.parametrize("region", [None, "", "P"])
+def test_a_json_region_that_is_a_string_or_null_is_kept(region):
+    doc = [{"area": "A1", "directions": [0.125] * 8, "region": region}]
+    assert parse_area_table(json.dumps(doc), "json")[0].region == region
+
+
 @pytest.mark.parametrize("region", [None, "P", "", " eastern Pacific ", "\u00e9\n\ud800"])
 def test_area_record_comes_back_from_a_json_table_as_it_was(region):
     rec = AreaRecord("A", uniform(8), region)
@@ -434,8 +454,9 @@ def test_rank_ties_break_by_area_id():
 def test_rank_rejects_empty_and_bad_key(sample_records):
     with pytest.raises(EmptyInput):
         rank_areas([], "d")
-    with pytest.raises(ParseError):
-        rank_areas(sample_records, "sigma")
+    for key in ("sigma", [], {}):  # [] and {} cannot be looked up at all
+        with pytest.raises(ParseError, match=r"^unknown rank key "):
+            rank_areas(sample_records, key)
 
 
 # ----------------------------------------------------------------------
